@@ -11,6 +11,32 @@
 #include "common/simd.hpp"
 
 namespace ecotune::api {
+namespace {
+
+/// Everything the trained bits depend on: the dataset, every model
+/// configuration field except jobs (any jobs value trains the same bits),
+/// and the epoch count.
+std::uint64_t model_fingerprint(const model::EnergyDataset& dataset,
+                                const model::EnergyModelConfig& config,
+                                int epochs) {
+  const nn::MlpConfig& mlp = config.mlp;
+  Fingerprint fp;
+  fp.add_digest("dataset", dataset.training_digest())
+      .add("samples", dataset.samples.size());
+  for (std::size_t width : mlp.layer_sizes) fp.add("mlp.layer", width);
+  fp.add("mlp.relu_output", mlp.relu_output)
+      .add("mlp.learning_rate", mlp.learning_rate)
+      .add("mlp.beta1", mlp.beta1)
+      .add("mlp.beta2", mlp.beta2)
+      .add("mlp.epsilon", mlp.epsilon)
+      .add("config.epochs", config.epochs)
+      .add("ensemble", config.ensemble)
+      .add("seed", config.seed)
+      .add("epochs", epochs);
+  return fp.digest();
+}
+
+}  // namespace
 
 Session::Session(SessionConfig config)
     : config_(std::move(config)), jobs_(resolve_jobs(config_.jobs())) {
@@ -60,12 +86,36 @@ model::EnergyDataset Session::acquire_dataset(
 
 const model::EnergyModel& Session::train_model() {
   if (model_) return *model_;
+  // Acquisition always runs: it advances the training node's clock and
+  // answers its own measurements from the store.
   const auto dataset = acquire_dataset();
   model::EnergyModelConfig model_cfg;
   model_cfg.jobs = jobs_;  // candidate pool trains concurrently, bitwise
                            // identical for any value
+  const int epochs = config_.epochs();
+
+  // The trained model is a store entry named after the dispatch level: the
+  // AVX2 engine trains other bits than the scalar path, and a store shared
+  // by both levels keeps one entry per level instead of invalidating the
+  // other's on every run.
+  store::MeasurementKey key;
+  if (store_.enabled()) {
+    key.task = std::string("model/") + simd::to_string(simd::active_level());
+    key.fingerprint = model_fingerprint(dataset, model_cfg, epochs);
+    if (const auto hit = store_.lookup(key)) {
+      try {
+        model_.emplace(model::EnergyModel::from_json(*hit));
+        return *model_;
+      } catch (const std::exception& e) {
+        log::error("api") << "undecodable cache payload for '" << key.task
+                          << "' (" << e.what() << "); retraining the model";
+      }
+    }
+  }
+
   model_.emplace(model_cfg);
-  model_->train(dataset, config_.epochs());
+  model_->train(dataset, epochs);
+  if (store_.enabled()) store_.insert(key, model_->to_json());
   return *model_;
 }
 
@@ -172,7 +222,7 @@ CampaignReport Session::run_dta_campaign(
         .add("engine.seed", po.engine.seed)
         // The trained model determines every frequency recommendation, so
         // its full weight state is part of each campaign row's identity.
-        .add("model", trained.to_json().dump(-1));
+        .add("model", trained.canonical_json());
   }
 
   struct Outcome {
@@ -323,7 +373,7 @@ DtaReport Session::run_dta_shared(const workload::Benchmark& app,
              po.engine.iterations_per_scenario)
         .add("engine.measurement_noise", po.engine.measurement_noise)
         .add("engine.seed", po.engine.seed)
-        .add("model", trained.to_json().dump(-1))
+        .add("model", trained.canonical_json())
         .add("noise_key", noise_key)
         .add_digest("app", app.fingerprint_digest());
     key.task = "dta/" + noise_key;
@@ -440,7 +490,7 @@ core::SavingsRow Session::evaluate_savings_shared(
         .add("static.cf_stride", opts.static_search.cf_stride)
         .add("static.ucf_stride", opts.static_search.ucf_stride)
         .add("static.phase_iterations", opts.static_search.phase_iterations)
-        .add("model", trained.to_json().dump(-1));
+        .add("model", trained.canonical_json());
     for (int t : opts.static_search.thread_counts)
       fp.add("static.thread_count", t);
     fp.add("noise_key", noise_key).add_digest("app", app.fingerprint_digest());

@@ -283,6 +283,9 @@ class Session {
 
   /// Acquires the training dataset and fits the energy model. Idempotent:
   /// subsequent calls (and every entry point below) reuse the first result.
+  /// With the store enabled, the fitted model is the `model/<simd level>`
+  /// entry, keyed by the dataset, the model configuration and the epoch
+  /// count: a warm session loads it instead of training.
   const model::EnergyModel& train_model();
   /// Injects an already-trained model (e.g. deserialized from disk),
   /// skipping acquisition and training entirely.

@@ -1,10 +1,12 @@
 #include "common/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <string_view>
 #include <system_error>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -61,6 +63,10 @@ const Json& Json::at(const std::string& key) const {
   auto it = obj.find(key);
   ensure(it != obj.end(), "Json::at: missing key '" + key + "'");
   return it->second;
+}
+
+Json& Json::at(const std::string& key) {
+  return const_cast<Json&>(std::as_const(*this).at(key));
 }
 
 bool Json::contains(const std::string& key) const {
@@ -182,28 +188,62 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
-/// Recursive-descent JSON parser.
+/// UTF-8 encoding of an escaped code point (BMP only; surrogate pairs are
+/// not needed here).
+void append_utf8(std::string& out, unsigned code) {
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xC0 | (code >> 6));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    out += static_cast<char>(0xE0 | (code >> 12));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  }
+}
+
+/// Recursive-descent JSON parser. Error messages are built only when a
+/// check fails, so a well-formed document costs no allocation beyond its
+/// own values.
 class Parser {
  public:
+  /// Nesting limit. Far above any document ecotune writes (a store line
+  /// nests about ten levels), and low enough that the recursion stays a
+  /// few hundred kilobytes of stack even in sanitizer builds.
+  static constexpr int kMaxDepth = 512;
+
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse() {
     skip_ws();
     Json v = value();
     skip_ws();
-    ensure(pos_ == text_.size(), "Json::parse: trailing garbage");
+    if (pos_ != text_.size()) fail("Json::parse: trailing garbage");
     return v;
   }
 
  private:
+  [[noreturn]] static void fail(const char* message) {
+    throw PreconditionError(message);
+  }
+
+  [[noreturn]] static void fail_expected(char c) {
+    throw PreconditionError(std::string("Json::parse: expected '") + c + "'");
+  }
+
+  /// The six characters std::isspace accepts in the C locale.
+  static bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+  }
+
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
   }
 
   char peek() {
-    ensure(pos_ < text_.size(), "Json::parse: unexpected end of input");
+    if (pos_ >= text_.size()) fail("Json::parse: unexpected end of input");
     return text_[pos_];
   }
 
@@ -214,14 +254,12 @@ class Parser {
   }
 
   void expect(char c) {
-    ensure(next() == c, std::string("Json::parse: expected '") + c + "'");
+    if (next() != c) fail_expected(c);
   }
 
-  bool consume_literal(const char* lit) {
-    std::size_t n = 0;
-    while (lit[n]) ++n;
-    if (text_.compare(pos_, n, lit) == 0) {
-      pos_ += n;
+  bool consume_literal(std::string_view lit) {
+    if (text_.compare(pos_, lit.size(), lit) == 0) {
+      pos_ += lit.size();
       return true;
     }
     return false;
@@ -232,19 +270,25 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          throw PreconditionError("Json::parse: nesting deeper than " +
+                                  std::to_string(kMaxDepth) + " levels");
+        }
+        Json v = c == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Json(string());
       case 't':
-        ensure(consume_literal("true"), "Json::parse: bad literal");
+        if (!consume_literal("true")) fail("Json::parse: bad literal");
         return Json(true);
       case 'f':
-        ensure(consume_literal("false"), "Json::parse: bad literal");
+        if (!consume_literal("false")) fail("Json::parse: bad literal");
         return Json(false);
       case 'n':
-        ensure(consume_literal("null"), "Json::parse: bad literal");
+        if (!consume_literal("null")) fail("Json::parse: bad literal");
         return Json(nullptr);
       default:
         return number();
@@ -264,30 +308,44 @@ class Parser {
       std::string key = string();
       skip_ws();
       expect(':');
-      obj[std::move(key)] = value();
+      Json v = value();
+      // Serialized objects arrive in key order, so the end hint makes each
+      // insert O(1); a duplicate or out-of-order key keeps last-wins.
+      if (obj.empty() || obj.rbegin()->first < key) {
+        obj.emplace_hint(obj.end(), std::move(key), std::move(v));
+      } else {
+        obj[std::move(key)] = std::move(v);
+      }
       skip_ws();
       const char c = next();
       if (c == '}') break;
-      ensure(c == ',', "Json::parse: expected ',' or '}' in object");
+      if (c != ',') fail("Json::parse: expected ',' or '}' in object");
     }
     return Json(std::move(obj));
   }
 
   Json array() {
     expect('[');
-    Json::Array arr;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return Json(std::move(arr));
+      return Json(Json::Array{});
     }
+    // Elements collect on a stack shared by every nesting level, so each
+    // array is allocated once at its exact size: growth slack would stay
+    // in the parsed document for its whole lifetime.
+    const std::size_t base = stack_.size();
     while (true) {
-      arr.push_back(value());
+      stack_.push_back(value());
       skip_ws();
       const char c = next();
       if (c == ']') break;
-      ensure(c == ',', "Json::parse: expected ',' or ']' in array");
+      if (c != ',') fail("Json::parse: expected ',' or ']' in array");
     }
+    const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(base);
+    Json::Array arr(std::make_move_iterator(first),
+                    std::make_move_iterator(stack_.end()));
+    stack_.erase(first, stack_.end());
     return Json(std::move(arr));
   }
 
@@ -295,67 +353,58 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      char c = next();
+      // Copy the run up to the next quote or backslash in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\')
+        ++pos_;
+      out.append(text_, run, pos_ - run);
+      const char c = next();
       if (c == '"') break;
-      if (c == '\\') {
-        char e = next();
-        switch (e) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9')
-                code += static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                code += static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                code += static_cast<unsigned>(h - 'A' + 10);
-              else
-                ensure(false, "Json::parse: bad \\u escape");
-            }
-            // UTF-8 encode (BMP only; surrogate pairs not needed here).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
+      const char e = next();
+      switch (e) {
+        case '"':
+          out += '"';
+          break;
+        case '\\':
+          out += '\\';
+          break;
+        case '/':
+          out += '/';
+          break;
+        case 'n':
+          out += '\n';
+          break;
+        case 't':
+          out += '\t';
+          break;
+        case 'r':
+          out += '\r';
+          break;
+        case 'b':
+          out += '\b';
+          break;
+        case 'f':
+          out += '\f';
+          break;
+        case 'u': {
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = next();
+            code <<= 4;
+            if (h >= '0' && h <= '9')
+              code += static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+              code += static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+              code += static_cast<unsigned>(h - 'A' + 10);
+            else
+              fail("Json::parse: bad \\u escape");
           }
-          default:
-            ensure(false, "Json::parse: bad escape");
+          append_utf8(out, code);
+          break;
         }
-      } else {
-        out += c;
+        default:
+          fail("Json::parse: bad escape");
       }
     }
     return out;
@@ -364,12 +413,14 @@ class Parser {
   Json number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (!((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+            c == '+' || c == '-'))
+        break;
       ++pos_;
-    ensure(pos_ > start, "Json::parse: bad number");
+    }
+    if (pos_ == start) fail("Json::parse: bad number");
     // std::from_chars is locale-independent (std::stod honors the process
     // locale and misparses under ',' decimal separators).
     double value = 0.0;
@@ -385,6 +436,8 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  std::vector<Json> stack_;
 };
 
 }  // namespace

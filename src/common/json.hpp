@@ -67,6 +67,7 @@ class Json {
   /// Object field access; const version throws if missing.
   Json& operator[](const std::string& key);
   [[nodiscard]] const Json& at(const std::string& key) const;
+  [[nodiscard]] Json& at(const std::string& key);
   [[nodiscard]] bool contains(const std::string& key) const;
 
   /// Array append.

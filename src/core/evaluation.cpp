@@ -150,7 +150,7 @@ std::vector<SavingsRow> SavingsEvaluator::evaluate_all(
              options_.static_search.phase_iterations)
         // The trained model determines the DTA's frequency recommendation,
         // so its full weight state is part of the row identity.
-        .add("model", energy_model_.to_json().dump(-1));
+        .add("model", energy_model_.canonical_json());
     for (int t : options_.static_search.thread_counts)
       base_fp.add("static.thread_count", t);
   }

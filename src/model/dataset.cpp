@@ -1,6 +1,7 @@
 #include "model/dataset.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
@@ -34,6 +35,22 @@ std::vector<double> EnergyDataset::labels() const {
   out.reserve(samples.size());
   for (const auto& s : samples) out.push_back(s.normalized_energy);
   return out;
+}
+
+std::uint64_t EnergyDataset::training_digest() const {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& s : samples) {
+    for (double f : s.features) mix(f);
+    mix(s.normalized_energy);
+  }
+  return h;
 }
 
 std::vector<std::string> EnergyDataset::groups() const {

@@ -39,6 +39,9 @@ struct EnergyDataset {
   [[nodiscard]] stats::Matrix feature_matrix() const;
   [[nodiscard]] std::vector<double> labels() const;
   [[nodiscard]] std::vector<std::string> groups() const;
+  /// FNV-1a over the bytes of each sample's features and label, in sample
+  /// order: a digest of exactly what EnergyModel::train consumes.
+  [[nodiscard]] std::uint64_t training_digest() const;
   /// Subset by sample indices.
   [[nodiscard]] EnergyDataset subset(
       const std::vector<std::size_t>& idx) const;

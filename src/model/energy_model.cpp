@@ -87,6 +87,7 @@ void EnergyModel::train(const EnergyDataset& train, int epochs) {
   }
   ensure(!nets_.empty(), "EnergyModel::train: no candidate converged");
   trained_ = true;
+  canonical_json_ = to_json().dump(-1);
 }
 
 void EnergyModel::predict_rows(const stats::Matrix& raw,
@@ -242,7 +243,13 @@ EnergyModel EnergyModel::from_json(const Json& j) {
   m.config_.epochs = j.at("epochs").as_int();
   m.config_.ensemble = static_cast<int>(m.nets_.size());
   m.trained_ = true;
+  m.canonical_json_ = m.to_json().dump(-1);
   return m;
+}
+
+const std::string& EnergyModel::canonical_json() const {
+  ensure(trained_, "EnergyModel::canonical_json: model not trained");
+  return canonical_json_;
 }
 
 }  // namespace ecotune::model

@@ -97,6 +97,11 @@ class EnergyModel {
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static EnergyModel from_json(const Json& j);
 
+  /// to_json().dump(-1), rendered once when the model was trained or
+  /// loaded. Cache fingerprints hash this text, so they do not re-serialize
+  /// the weights on every request.
+  [[nodiscard]] const std::string& canonical_json() const;
+
  private:
   /// The shared batched core: scales `raw` (n x features) once and writes
   /// the ensemble-mean prediction per row into `out` (out.size() == n).
@@ -112,6 +117,7 @@ class EnergyModel {
   stats::StandardScaler scaler_;
   std::vector<nn::Mlp> nets_;  ///< ensemble members (>= 1 when trained)
   bool trained_ = false;
+  std::string canonical_json_;  ///< set whenever trained_ becomes true
 };
 
 }  // namespace ecotune::model

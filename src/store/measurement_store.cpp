@@ -125,7 +125,9 @@ void MeasurementStore::load_file(const std::string& path) {
       ensure(!task.empty(), "empty task");
       Shard& shard = shard_of(task);
       const MutexLock lock(shard.mutex_);
-      shard.entries_[task] = Entry{*fp, entry.at("payload")};
+      // The parsed line is discarded afterwards, so its payload moves into
+      // the index instead of being deep-copied.
+      shard.entries_[task] = Entry{*fp, std::move(entry.at("payload"))};
     } catch (const std::exception& e) {
       // Loud rejection: a corrupt entry must never silently answer a
       // lookup, and the operator must learn the cache is damaged.

@@ -11,13 +11,18 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "api/report.hpp"
 #include "api/session.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "common/logging.hpp"
+#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "core/dvfs_ufs_plugin.hpp"
 #include "model/dataset.hpp"
@@ -211,6 +216,169 @@ TEST(ApiSession, CampaignWarmRestartsFromStoreWithZeroMisses) {
   EXPECT_EQ(warm.store().stats().misses, 0);
   EXPECT_EQ(warm.store().stats().hits,
             static_cast<long>(apps.size()));
+  std::filesystem::remove_all(dir);
+}
+
+// --- The trained model as a store entry -----------------------------------
+
+/// Fresh store directory for one model-entry test.
+std::string model_store_dir(const std::string& name) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("ecotune_api_model_" + name + "_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+std::vector<std::string> store_lines(const std::string& dir) {
+  std::ifstream is(dir + "/measurements.jsonl");
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Store lines holding a trained model.
+std::vector<std::string> model_lines(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& line : store_lines(dir)) {
+    const Json entry = Json::parse(line);
+    if (entry.at("task").as_string().find("/model/") != std::string::npos)
+      out.push_back(line);
+  }
+  return out;
+}
+
+TEST(ApiModelEntry, ColdSessionWritesOneEntryAndWarmSessionLoadsIt) {
+  const std::string dir = model_store_dir("warm");
+  std::string cold_dump;
+  {
+    api::Session cold(tiny_config().jobs(1).cache(dir).scope("m"));
+    cold_dump = cold.train_model().to_json().dump(-1);
+  }
+  // The stored model is the model a storeless session trains.
+  EXPECT_EQ(cold_dump, tiny_model().to_json().dump(-1));
+  ASSERT_EQ(model_lines(dir).size(), 1u);
+  EXPECT_NE(model_lines(dir).front().find(
+                std::string("\"m/model/") +
+                simd::to_string(simd::active_level()) + "\""),
+            std::string::npos);
+
+  // Another jobs value shares the entry: zero misses, zero writes.
+  api::Session warm(tiny_config().jobs(4).cache(dir).scope("m"));
+  const model::EnergyModel& loaded = warm.train_model();
+  EXPECT_EQ(loaded.to_json().dump(-1), cold_dump);
+  EXPECT_EQ(loaded.canonical_json(), cold_dump);
+  EXPECT_EQ(warm.store().stats().misses, 0);
+  EXPECT_EQ(warm.store().stats().writes, 0);
+  EXPECT_EQ(model_lines(dir).size(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ApiModelEntry, ChangedTrainingInputsMissAndRetrain) {
+  const std::string dir = model_store_dir("inputs");
+  std::string base_dump;
+  {
+    api::Session cold(tiny_config().jobs(2).cache(dir).scope("m"));
+    base_dump = cold.train_model().to_json().dump(-1);
+  }
+  model::AcquisitionOptions coarser = tiny_acquisition();
+  coarser.cf_stride = 5;
+  const std::vector<api::SessionConfig> variants = {
+      tiny_config().epochs(2),                 // epoch count
+      tiny_config().acquisition(coarser),      // acquisition options
+      tiny_config().seed(78),                  // training-node seed
+  };
+  std::size_t expected_lines = 1;
+  for (const auto& variant : variants) {
+    api::SessionConfig config = variant;
+    api::Session session(config.jobs(2).cache(dir).scope("m"));
+    const std::string dump = session.train_model().to_json().dump(-1);
+    EXPECT_NE(dump, base_dump);
+    EXPECT_GT(session.store().stats().misses, 0);
+    EXPECT_EQ(model_lines(dir).size(), ++expected_lines)
+        << "a changed input must retrain and insert a new model";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ApiModelEntry, ReadOnlyStoreAnswersButNeverWrites) {
+  const std::string dir = model_store_dir("ro");
+  {
+    // ro on an empty directory trains as if the store were off.
+    std::filesystem::create_directories(dir);
+    api::Session ro(tiny_config().jobs(2).cache(dir, "ro").scope("m"));
+    EXPECT_EQ(ro.train_model().to_json().dump(-1),
+              tiny_model().to_json().dump(-1));
+    EXPECT_EQ(ro.store().stats().writes, 0);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/measurements.jsonl"));
+  }
+  {
+    api::Session rw(tiny_config().jobs(2).cache(dir).scope("m"));
+    (void)rw.train_model();
+  }
+  const std::vector<std::string> before = store_lines(dir);
+  api::Session ro(tiny_config().jobs(2).cache(dir, "ro").scope("m"));
+  EXPECT_EQ(ro.train_model().to_json().dump(-1),
+            tiny_model().to_json().dump(-1));
+  EXPECT_EQ(ro.store().stats().misses, 0);
+  EXPECT_EQ(ro.store().stats().writes, 0);
+  EXPECT_EQ(store_lines(dir), before);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ApiModelEntry, StoreOffTrainsWithoutAnEntry) {
+  api::Session off(tiny_config().jobs(2));
+  EXPECT_FALSE(off.store().enabled());
+  EXPECT_EQ(off.train_model().to_json().dump(-1),
+            tiny_model().to_json().dump(-1));
+  EXPECT_EQ(off.store().stats().hits + off.store().stats().misses, 0);
+}
+
+TEST(ApiModelEntry, UndecodableModelLogsAnErrorAndRetrains) {
+  const std::string dir = model_store_dir("corrupt");
+  {
+    api::Session cold(tiny_config().jobs(2).cache(dir).scope("m"));
+    (void)cold.train_model();
+  }
+  // Keep the line valid JSON with its task and fingerprint, so it loads,
+  // hits, and only fails to decode as a model.
+  std::vector<std::string> lines = store_lines(dir);
+  bool corrupted = false;
+  for (auto& line : lines) {
+    const auto at = line.find("\"networks\"");
+    if (line.find("\"m/model/") == std::string::npos ||
+        at == std::string::npos)
+      continue;
+    line.replace(at, 10, "\"netwerks\"");
+    corrupted = true;
+  }
+  ASSERT_TRUE(corrupted);
+  {
+    std::ofstream os(dir + "/measurements.jsonl", std::ios::trunc);
+    for (const auto& line : lines) os << line << '\n';
+  }
+
+  std::ostringstream log_sink;
+  log::set_sink(&log_sink);
+  std::string retrained;
+  long writes = 0;
+  {
+    api::Session session(tiny_config().jobs(2).cache(dir).scope("m"));
+    retrained = session.train_model().to_json().dump(-1);
+    writes = session.store().stats().writes;
+  }
+  log::set_sink(nullptr);
+  EXPECT_NE(log_sink.str().find("undecodable cache payload for 'model/"),
+            std::string::npos)
+      << log_sink.str();
+  EXPECT_EQ(retrained, tiny_model().to_json().dump(-1));
+  EXPECT_EQ(writes, 1) << "the retrained model is inserted again";
+
+  // The re-inserted entry wins on the next open.
+  api::Session warm(tiny_config().jobs(2).cache(dir).scope("m"));
+  EXPECT_EQ(warm.train_model().to_json().dump(-1), retrained);
+  EXPECT_EQ(warm.store().stats().misses, 0);
   std::filesystem::remove_all(dir);
 }
 

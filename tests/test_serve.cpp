@@ -536,6 +536,38 @@ TEST(ServeServer, MalformedFrameIsRejectedAndConnectionDropped) {
   EXPECT_TRUE(pong->at("ok").as_bool());
 }
 
+TEST(ServeServer, DeeplyNestedFrameIsRejectedAndDaemonSurvives) {
+  TempDir dir("nested");
+  fs::create_directories(dir.path());
+  ServerFixture fixture(shared_service(), dir.sock());
+  {
+    TestClient client(dir.sock());
+    ASSERT_TRUE(client.connected());
+    // A well-framed body of 2 MB of '[': within the frame limit, so only
+    // the parser's nesting bound stands between it and a stack overflow.
+    const std::size_t body = 2 * 1024 * 1024;
+    std::string frame;
+    for (int shift = 24; shift >= 0; shift -= 8)
+      frame += static_cast<char>((body >> shift) & 0xFF);
+    frame.append(body, '[');
+    client.send_bytes(frame);
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_FALSE(response->at("ok").as_bool());
+    EXPECT_EQ(response->at("error").at("code").as_string(), "bad_request");
+    EXPECT_NE(response->at("error").at("message").as_string().find(
+                  "nesting deeper than"),
+              std::string::npos)
+        << response->dump(-1);
+  }
+  TestClient again(dir.sock());
+  ASSERT_TRUE(again.connected());
+  again.send_frame(make_request("ping", Json::object(), 6));
+  const auto pong = again.read_response();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(pong->at("ok").as_bool());
+}
+
 /// Single-worker service with a tiny queue for the robustness tests; the
 /// debug "sleep" method holds the one worker busy deterministically.
 serve::TuningService& tiny_queue_service() {

@@ -1,6 +1,7 @@
 // Machine-readable performance report of the model/NN hot path: the
 // components every table/figure driver funnels through (MLP training,
-// scalar vs batched inference, the full-grid frequency recommendation).
+// scalar vs batched inference, the full-grid frequency recommendation),
+// plus the measurement store's hit-path lookups and its open/parse time.
 // Emits JSON so the perf trajectory can be tracked across PRs
 // (BENCH_*.json at the repo root).
 //
@@ -414,6 +415,76 @@ double bench_store_s16_t1(const Options& o) { return bench_store_lookup(o, 16, 1
 double bench_store_s16_t4(const Options& o) { return bench_store_lookup(o, 16, 4); }
 double bench_store_s16_t16(const Options& o) { return bench_store_lookup(o, 16, 16); }
 
+// --- measurement-store open --------------------------------------------
+//
+// Opening the store parses every line of measurements.jsonl, which is what
+// a warm session pays before its first lookup. The synthetic store mimics
+// a warm full-suite store: acquisition-sweep entries (samples with nine
+// features and three normalized labels each) of about 300 KB per line.
+
+constexpr const char* kStoreOpenDir = "ecotune_perf_report_store_open";
+
+/// Writes (once per process) the synthetic store, 4 MB (1 MB with
+/// --quick), and returns its directory.
+const std::string& store_open_dir(const Options& o) {
+  static std::string dir;
+  if (dir.empty()) {
+    namespace fs = std::filesystem;
+    const fs::path path = fs::temp_directory_path() / kStoreOpenDir;
+    std::error_code ec;
+    fs::remove_all(path, ec);
+    store::MeasurementStore writer;
+    writer.open(path.string(), store::StoreMode::kReadWrite, "bench");
+    Rng rng(14);
+    const int entries = o.quick ? 4 : 14;
+    for (int e = 0; e < entries; ++e) {
+      Json samples = Json::array();
+      for (int i = 0; i < 1000; ++i) {
+        Json sample = Json::object();
+        sample["cf_mhz"] = 1200 + 100 * (i % 14);
+        sample["ucf_mhz"] = 1300 + 100 * (i % 18);
+        sample["threads"] = 12 + 12 * (i % 2);
+        Json features = Json::array();
+        for (int k = 0; k < 7; ++k) features.push_back(rng.uniform(1e7, 1e10));
+        features.push_back(1.2 + 0.1 * (i % 14));
+        features.push_back(1.3 + 0.1 * (i % 18));
+        sample["features"] = std::move(features);
+        sample["normalized_energy"] = rng.uniform(0.8, 1.6);
+        sample["normalized_power"] = rng.uniform(0.8, 1.6);
+        sample["normalized_time"] = rng.uniform(0.8, 1.6);
+        samples.push_back(std::move(sample));
+      }
+      Json payload = Json::object();
+      payload["elapsed"] = rng.uniform(500.0, 1000.0);
+      payload["runs"] = 1020;
+      payload["samples"] = std::move(samples);
+      const std::uint64_t fp = 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(e);
+      writer.insert({"acquire/sweep-" + std::to_string(e), fp}, payload);
+    }
+    dir = path.string();
+  }
+  return dir;
+}
+
+/// Milliseconds of MeasurementStore::open per MB of store file.
+double bench_store_open(const Options& o) {
+  namespace fs = std::filesystem;
+  const std::string& dir = store_open_dir(o);
+  const double mb =
+      static_cast<double>(fs::file_size(fs::path(dir) / "measurements.jsonl")) /
+      1e6;
+  const auto t0 = Clock::now();
+  store::MeasurementStore store;
+  store.open(dir, store::StoreMode::kReadOnly, "bench");
+  const double ms = seconds_since(t0) * 1e3;
+  if (store.size() != (o.quick ? 4u : 14u)) {
+    std::cerr << "error: synthetic store reopened with " << store.size()
+              << " entries\n";
+    std::exit(1);
+  }
+  return ms / mb;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -458,11 +529,13 @@ int main(int argc, char** argv) {
       min_of(o.repeats, bench_store_s16_t4, o);
   results["store_lookup_shard16_t16_ns_per_op"] =
       min_of(o.repeats, bench_store_s16_t16, o);
+  results["store_open_ms_per_mb"] = min_of(o.repeats, bench_store_open, o);
   {
     namespace fs = std::filesystem;
     std::error_code ec;
     fs::remove_all(fs::temp_directory_path() / "ecotune_perf_report_store",
                    ec);
+    fs::remove_all(fs::temp_directory_path() / kStoreOpenDir, ec);
   }
   for (const auto& [k, v] : o.extra) {
     double num = 0.0;
@@ -490,6 +563,11 @@ int main(int argc, char** argv) {
               : "MeasurementStore hit-path lookups, 2048 keys x 64 rounds "
                 "per thread; shardN = index shard count, tN = pool threads "
                 "(shard1 = the pre-PR-10 single-mutex index)");
+  workloads["store_open"] = std::string(
+      o.quick ? "MeasurementStore::open (ro) of a synthetic 1 MB store: 4 "
+                "acquisition-sweep lines of 1000 samples"
+              : "MeasurementStore::open (ro) of a synthetic 4 MB store: 14 "
+                "acquisition-sweep lines of 1000 samples");
   report["workloads"] = std::move(workloads);
   report["estimator"] =
       std::string("min over " + std::to_string(o.repeats) + " repeats");
