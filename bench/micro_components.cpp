@@ -9,7 +9,6 @@
 #include "hwsim/node.hpp"
 #include "instr/scorep_runtime.hpp"
 #include "model/energy_model.hpp"
-#include "nn/kernels.hpp"
 #include "nn/mlp.hpp"
 #include "pmc/counter_sampler.hpp"
 #include "readex/rrl.hpp"
@@ -97,9 +96,8 @@ void BM_MlpTrainEpoch(benchmark::State& state) {
 BENCHMARK(BM_MlpTrainEpoch)->Arg(2048)->Arg(19152);
 
 void BM_MlpForwardBatch(benchmark::State& state) {
-  // Batched inference over one 14x18 frequency grid (252 rows); on the
-  // scalar reference path bitwise identical to 252 scalar predict()
-  // calls, on the AVX2 engine equal within last-ulp FMA contraction.
+  // Batched inference over one 14x18 frequency grid (252 rows); bitwise
+  // identical to 252 predict() calls at every dispatch level.
   Rng rng(2);
   const nn::Mlp net(nn::MlpConfig{}, rng);
   const stats::Matrix x = bench::synthetic_grid_batch();
@@ -115,44 +113,11 @@ void BM_MlpForwardBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForwardBatch);
 
-void BM_DotKernelScalar(benchmark::State& state) {
-  // The width-agnostic dot kernel at the scalar reference level; the
-  // pairwise accumulation order makes this directly comparable (and
-  // bit-identical) to BM_DotKernelSimd.
-  const simd::ScopedLevel level(simd::Level::kScalar);
-  const auto& ks = nn::kernels::active();
-  std::vector<double> a(256), b(256);
-  Rng rng(5);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = rng.normal(0.0, 1.0);
-    b[i] = rng.normal(0.0, 1.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ks.dot(a.data(), b.data(), a.size()));
-  }
-}
-BENCHMARK(BM_DotKernelScalar);
-
-void BM_DotKernelSimd(benchmark::State& state) {
-  // Same workload on the best vector level the CPU offers.
-  const auto& ks = nn::kernels::set_for(simd::detect_best());
-  std::vector<double> a(256), b(256);
-  Rng rng(5);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = rng.normal(0.0, 1.0);
-    b[i] = rng.normal(0.0, 1.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ks.dot(a.data(), b.data(), a.size()));
-  }
-}
-BENCHMARK(BM_DotKernelSimd);
-
 void BM_EnsembleFusedVsSequential(benchmark::State& state) {
-  // Five-member ensemble prediction over the 252-row grid: Arg(0) runs
-  // member-sequential scalar forwards (the reference path), Arg(1) the
+  // Five-member ensemble prediction over the 252-row grid through the
   // fused engine, which sweeps all members over one cache-resident
-  // four-sample lane group at a time.
+  // four-sample lane group at a time: Arg(0) on the plain-C++ lanes
+  // (ECOTUNE_SIMD=off), Arg(1) on the best vector level. Same bits.
   const simd::ScopedLevel level(state.range(0) == 0 ? simd::Level::kScalar
                                                     : simd::detect_best());
   const auto model = bench::untrained_ensemble_model(5);
@@ -170,9 +135,9 @@ void BM_EnsembleFusedVsSequential(benchmark::State& state) {
 BENCHMARK(BM_EnsembleFusedVsSequential)->Arg(0)->Arg(1);
 
 void BM_TrainEpochSimd(benchmark::State& state) {
-  // BM_MlpTrainEpoch/19152 pinned to a dispatch level: Arg(0) scalar
-  // reference, Arg(1) the fused AVX2 engine (the perf_report
-  // mlp_train_epoch metric runs whatever level is active).
+  // BM_MlpTrainEpoch/19152 pinned to a dispatch level: Arg(0) the engine
+  // on the plain-C++ lanes, Arg(1) on AVX2 (the perf_report
+  // mlp_train_epoch metric runs whatever level is active). Same bits.
   const simd::ScopedLevel level(state.range(0) == 0 ? simd::Level::kScalar
                                                     : simd::detect_best());
   const std::size_t n = 19152;

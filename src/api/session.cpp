@@ -8,7 +8,6 @@
 #include "common/fingerprint.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
-#include "common/simd.hpp"
 
 namespace ecotune::api {
 namespace {
@@ -40,10 +39,6 @@ std::uint64_t model_fingerprint(const model::EnergyDataset& dataset,
 
 Session::Session(SessionConfig config)
     : config_(std::move(config)), jobs_(resolve_jobs(config_.jobs())) {
-  // Process-wide by design: the kernel dispatch level must be uniform or
-  // the jobs-invariance guarantee (identical bits at any worker count)
-  // would depend on which session touched the model last.
-  if (!config_.simd()) simd::set_level(simd::Level::kScalar);
   // Store-mode resolution and the directory open both throw ecotune::Error
   // with a user-facing message; open_session_or_exit maps that to the
   // uniform CLI behavior (exit 2).
@@ -94,13 +89,11 @@ const model::EnergyModel& Session::train_model() {
                            // identical for any value
   const int epochs = config_.epochs();
 
-  // The trained model is a store entry named after the dispatch level: the
-  // AVX2 engine trains other bits than the scalar path, and a store shared
-  // by both levels keeps one entry per level instead of invalidating the
-  // other's on every run.
+  // The trained model is a store entry. Every dispatch level trains the
+  // same bits, so one entry serves them all.
   store::MeasurementKey key;
   if (store_.enabled()) {
-    key.task = std::string("model/") + simd::to_string(simd::active_level());
+    key.task = "model";
     key.fingerprint = model_fingerprint(dataset, model_cfg, epochs);
     if (const auto hit = store_.lookup(key)) {
       try {

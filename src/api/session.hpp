@@ -149,13 +149,6 @@ class SessionConfig {
     spec_ = std::move(cpu_spec);
     return *this;
   }
-  /// simd(false) forces the scalar reference kernels (the historical
-  /// bit-exact path) process-wide, exactly like ECOTUNE_SIMD=off; true
-  /// (the default) keeps whatever dispatch level is already active.
-  SessionConfig& simd(bool on) {
-    simd_ = on;
-    return *this;
-  }
   /// In-memory shard count of the measurement store's index (0 = the
   /// store's kDefaultShardCount). Purely a concurrency knob: lookup
   /// results, stats totals, and the on-disk format are identical for every
@@ -200,7 +193,6 @@ class SessionConfig {
     return governor_;
   }
   [[nodiscard]] const hwsim::CpuSpec& spec() const { return spec_; }
-  [[nodiscard]] bool simd() const { return simd_; }
   [[nodiscard]] std::size_t store_shards() const { return store_shards_; }
 
  private:
@@ -225,7 +217,6 @@ class SessionConfig {
   tuners::QLearningOptions qlearn_;
   tuners::GovernorOptions governor_;
   hwsim::CpuSpec spec_ = hwsim::haswell_ep_spec();
-  bool simd_ = true;
   std::size_t store_shards_ = 0;
 };
 
@@ -283,7 +274,7 @@ class Session {
 
   /// Acquires the training dataset and fits the energy model. Idempotent:
   /// subsequent calls (and every entry point below) reuse the first result.
-  /// With the store enabled, the fitted model is the `model/<simd level>`
+  /// With the store enabled, the fitted model is the `model` store
   /// entry, keyed by the dataset, the model configuration and the epoch
   /// count: a warm session loads it instead of training.
   const model::EnergyModel& train_model();

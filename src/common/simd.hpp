@@ -1,38 +1,34 @@
 #pragma once
 
 // The SIMD substrate of the ecotune kernel layer: runtime level detection,
-// the process-wide dispatch level (ECOTUNE_SIMD / SessionConfig::simd),
-// a 64-byte-aligned allocator for kernel-visible storage, and thin value
-// wrappers over the x86 vector types.
+// the process-wide dispatch level (ECOTUNE_SIMD), a 64-byte-aligned
+// allocator for kernel-visible storage, and the two four-lane value types
+// the NN engine (nn/kernels_engine.inc) is instantiated on: V4 over AVX2
+// registers and VS, its plain-C++ twin.
 //
 // This header is the ONLY file in the tree allowed to touch raw vendor
 // intrinsics (`_mm*`, <immintrin.h>); the `raw-intrinsics` lint rule
-// enforces that. Everything above (src/nn/kernels.*) speaks V4 / V2x2.
+// enforces that. Everything above (src/nn/kernels.*) speaks V4 / VS.
 //
 // Determinism contract
 // --------------------
-// Every wrapper maps to exactly one IEEE-754 double operation per lane —
-// no reciprocal/rsqrt approximations, no reassociation inside a wrapper —
-// so any loop built from them computes one fixed, machine-independent
-// sequence of rounding steps. Two tiers follow from that:
+// Every wrapper maps to exactly one correctly rounded IEEE-754 double
+// operation per lane — no reciprocal/rsqrt approximations, no
+// reassociation inside a wrapper, fma() fused in hardware (V4) or by
+// std::fma (VS). Both lane types therefore compute the same bits for the
+// same sequence of calls, so the engine produces identical results at
+// every dispatch level; the level only changes speed. Any loop built from
+// them computes one fixed, machine-independent sequence of rounding steps,
+// independent of thread count and run-to-run state.
 //
-//  * dot()/axpy() avoid fma() and use a fixed lane-pairwise order, so
-//    they are bit-identical at every dispatch level (scalar included).
-//  * The MLP train/forward engines (nn/kernels_engine.inc) use fma(),
-//    which contracts mul+add into one correctly-rounded step. Their
-//    results differ from the scalar reference path in the last ulps but
-//    are fully deterministic: same inputs => same bits, run to run and
-//    independent of thread count. The scalar reference path (dispatch
-//    level kScalar, ECOTUNE_SIMD=off) keeps the historical bit-exact
-//    numbers; the engines pin their own goldens (see tests/test_nn.cpp).
-//    fma() exists only on V4 — kAvx2 requires the FMA feature bit, and
-//    the engines are not instantiated for SSE2 (no fused op there).
-//
-// relu(): max(x, 0) keeps the *second* operand as the zero so a -0.0
-// pre-activation maps to +0.0, exactly like std::max(0.0, acc) (maxpd
-// returns the second operand on equality).
+// relu(): x > 0 ? x : +0.0, so -0.0 and NaN pre-activations map to +0.0,
+// exactly like std::max(0.0, x) (maxpd returns the second operand unless
+// the first is greater).
 
+#include <array>
 #include <atomic>
+#include <cfloat>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -56,64 +52,54 @@
 
 namespace ecotune::simd {
 
-/// Kernel dispatch levels, ordered by capability. kScalar selects the
-/// historical scalar reference loops (no kernel layer at all). kSse2 adds
-/// the vector dot/axpy kernels (bit-identical to scalar). kAvx2 — which
-/// requires the FMA feature bit too — additionally enables the fused MLP
-/// train/forward engines, whose results are deterministic but not
-/// bit-identical to the reference path (see nn/kernels.hpp).
+/// Kernel dispatch levels, ordered by capability. Both run the same NN
+/// engine and produce the same bits: kScalar on VS lanes (any CPU), kAvx2
+/// — which requires the FMA feature bit too — on V4 registers.
 enum class Level {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 [[nodiscard]] inline const char* to_string(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
   }
   return "scalar";
 }
 
-/// Best level the running CPU supports. SSE2 is part of the x86-64
-/// baseline; AVX2+FMA is probed at runtime, so one binary serves both.
-/// (kAvx2 compiles with target("avx2,fma"), hence the double probe.)
+/// Best level the running CPU supports. AVX2+FMA is probed at runtime, so
+/// one binary serves both levels. (kAvx2 compiles with target("avx2,fma"),
+/// hence the double probe.)
 [[nodiscard]] inline Level detect_best() {
 #if ECOTUNE_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
     return Level::kAvx2;
-  return Level::kSse2;
-#else
-  return Level::kScalar;
 #endif
+  return Level::kScalar;
 }
 
 [[nodiscard]] inline bool supported(Level level) {
   return static_cast<int>(level) <= static_cast<int>(detect_best());
 }
 
-/// Parses an ECOTUNE_SIMD value. Accepted: "off"/"scalar" (reference
-/// path), "sse2", "avx2", "auto"/"on"/"" (best supported). Anything else
-/// throws ConfigError — a typo must not silently change the code path.
+/// Parses an ECOTUNE_SIMD value. Accepted: "off"/"scalar", "avx2",
+/// "auto"/"on"/"" (best supported). Anything else throws ConfigError — a
+/// typo must not silently change the code path.
 [[nodiscard]] inline Level parse_level(const std::string& text) {
   if (text == "off" || text == "scalar") return Level::kScalar;
-  if (text == "sse2") return Level::kSse2;
   if (text == "avx2") return Level::kAvx2;
   if (text.empty() || text == "auto" || text == "on") return detect_best();
   throw ConfigError("ECOTUNE_SIMD: unknown level '" + text +
-                    "' (expected off|scalar|sse2|avx2|auto)");
+                    "' (expected off|scalar|avx2|auto)");
 }
 
 namespace detail {
 inline std::atomic<Level>& level_slot() {
   // Initialized once from the environment (then clamped to what the CPU
-  // supports); SessionConfig::simd(false) and the test helpers override
-  // it through set_level().
+  // supports); tests and benchmarks override it through set_level().
   static std::atomic<Level> slot = [] {
     const char* env = std::getenv("ECOTUNE_SIMD");
     Level level = parse_level(env == nullptr ? std::string() : env);
@@ -190,19 +176,70 @@ struct AlignedAllocator {
 template <class T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
 
+/// Four double lanes in plain C++: the portable twin of V4, with the same
+/// API and, per lane, the same correctly rounded step behind each method
+/// (std::fma is a single rounding, exactly like vfmadd). An engine
+/// instantiated on VS therefore computes the bits of its V4 instantiation.
+struct VS {
+  std::array<double, 4> lane;
+
+  template <class F>
+  static VS each(F f) {
+    return {{f(0), f(1), f(2), f(3)}};
+  }
+  static VS load(const double* p) {
+    return each([p](std::size_t i) { return p[i]; });
+  }
+  static VS broadcast(double x) { return {{x, x, x, x}}; }
+  static VS zero() { return broadcast(0.0); }
+  void store(double* p) const {
+    for (std::size_t i = 0; i < 4; ++i) p[i] = lane[i];
+  }
+  static VS add(VS a, VS b) {
+    return each([&](std::size_t i) { return a.lane[i] + b.lane[i]; });
+  }
+  static VS sub(VS a, VS b) {
+    return each([&](std::size_t i) { return a.lane[i] - b.lane[i]; });
+  }
+  static VS mul(VS a, VS b) {
+    return each([&](std::size_t i) { return a.lane[i] * b.lane[i]; });
+  }
+  static VS div(VS a, VS b) {
+    return each([&](std::size_t i) { return a.lane[i] / b.lane[i]; });
+  }
+  static VS sqrt(VS a) {
+    return each([&](std::size_t i) { return std::sqrt(a.lane[i]); });
+  }
+  static VS fma(VS a, VS b, VS c) {
+    return each([&](std::size_t i) {
+      return std::fma(a.lane[i], b.lane[i], c.lane[i]);
+    });
+  }
+  static VS relu(VS x) {
+    return each(
+        [&](std::size_t i) { return x.lane[i] > 0.0 ? x.lane[i] : 0.0; });
+  }
+  static VS flush_denormal(VS x) {
+    return each([&](std::size_t i) {
+      return std::fabs(x.lane[i]) < DBL_MIN ? 0.0 : x.lane[i];
+    });
+  }
+  static VS zero_where_nonpositive(VS x, VS gate) {
+    return each(
+        [&](std::size_t i) { return gate.lane[i] <= 0.0 ? 0.0 : x.lane[i]; });
+  }
+};
+
 #if ECOTUNE_SIMD_X86
 
 /// Four double lanes (AVX2). Every method is one vector instruction; all
-/// methods carry the avx2 target attribute, so they may only be called
-/// from functions that carry it too (the kernel engines).
+/// methods carry the avx2 target attribute, so they inline only into
+/// functions that carry it too (the kernel entry points in nn/kernels.cpp).
 struct V4 {
   __m256d raw;
 
   ECOTUNE_TARGET_AVX2 static inline V4 load(const double* p) {
     return {_mm256_load_pd(p)};
-  }
-  ECOTUNE_TARGET_AVX2 static inline V4 loadu(const double* p) {
-    return {_mm256_loadu_pd(p)};
   }
   ECOTUNE_TARGET_AVX2 static inline V4 broadcast(double x) {
     return {_mm256_set1_pd(x)};
@@ -212,9 +249,6 @@ struct V4 {
   }
   ECOTUNE_TARGET_AVX2 inline void store(double* p) const {
     _mm256_store_pd(p, raw);
-  }
-  ECOTUNE_TARGET_AVX2 inline void storeu(double* p) const {
-    _mm256_storeu_pd(p, raw);
   }
   ECOTUNE_TARGET_AVX2 static inline V4 add(V4 a, V4 b) {
     return {_mm256_add_pd(a.raw, b.raw)};
@@ -241,7 +275,7 @@ struct V4 {
     return {_mm256_max_pd(x.raw, _mm256_setzero_pd())};
   }
   /// Lanes with |x| < DBL_MIN become +0.0 (NaN and normals pass through),
-  /// matching nn's scalar flush_denormal bit for bit.
+  /// matching VS::flush_denormal bit for bit.
   ECOTUNE_TARGET_AVX2 static inline V4 flush_denormal(V4 x) {
     const __m256d sign = _mm256_set1_pd(-0.0);
     const __m256d tiny = _mm256_set1_pd(2.2250738585072014e-308);
@@ -250,96 +284,11 @@ struct V4 {
     return {_mm256_andnot_pd(is_denormal, x.raw)};
   }
   /// Lanes of x where gate <= 0.0 become +0.0; a NaN gate keeps x (the
-  /// comparison is false), matching the scalar `if (gate <= 0) x = 0.0`.
+  /// comparison is false), matching VS::zero_where_nonpositive.
   ECOTUNE_TARGET_AVX2 static inline V4 zero_where_nonpositive(V4 x, V4 gate) {
     const __m256d nonpos =
         _mm256_cmp_pd(gate.raw, _mm256_setzero_pd(), _CMP_LE_OQ);
     return {_mm256_andnot_pd(nonpos, x.raw)};
-  }
-};
-
-/// Two double lanes (SSE2, x86-64 baseline — no target attribute needed).
-struct V2 {
-  __m128d raw;
-
-  static inline V2 load(const double* p) { return {_mm_load_pd(p)}; }
-  static inline V2 loadu(const double* p) { return {_mm_loadu_pd(p)}; }
-  static inline V2 broadcast(double x) { return {_mm_set1_pd(x)}; }
-  static inline V2 zero() { return {_mm_setzero_pd()}; }
-  inline void store(double* p) const { _mm_store_pd(p, raw); }
-  inline void storeu(double* p) const { _mm_storeu_pd(p, raw); }
-  static inline V2 add(V2 a, V2 b) { return {_mm_add_pd(a.raw, b.raw)}; }
-  static inline V2 sub(V2 a, V2 b) { return {_mm_sub_pd(a.raw, b.raw)}; }
-  static inline V2 mul(V2 a, V2 b) { return {_mm_mul_pd(a.raw, b.raw)}; }
-  static inline V2 div(V2 a, V2 b) { return {_mm_div_pd(a.raw, b.raw)}; }
-  static inline V2 sqrt(V2 a) { return {_mm_sqrt_pd(a.raw)}; }
-  static inline V2 relu(V2 x) {
-    return {_mm_max_pd(x.raw, _mm_setzero_pd())};
-  }
-  static inline V2 flush_denormal(V2 x) {
-    const __m128d sign = _mm_set1_pd(-0.0);
-    const __m128d tiny = _mm_set1_pd(2.2250738585072014e-308);
-    const __m128d mag = _mm_andnot_pd(sign, x.raw);
-    const __m128d is_denormal = _mm_cmplt_pd(mag, tiny);
-    return {_mm_andnot_pd(is_denormal, x.raw)};
-  }
-  static inline V2 zero_where_nonpositive(V2 x, V2 gate) {
-    const __m128d nonpos = _mm_cmple_pd(gate.raw, _mm_setzero_pd());
-    return {_mm_andnot_pd(nonpos, x.raw)};
-  }
-};
-
-/// Four double lanes emulated as two SSE2 halves. Same API as V4 minus
-/// fma(), carrying the width-4 dot/axpy kernels on pre-AVX2 hardware with
-/// the identical virtual-accumulator order (hence identical bits).
-struct V2x2 {
-  V2 lo, hi;
-
-  static inline V2x2 load(const double* p) {
-    return {V2::load(p), V2::load(p + 2)};
-  }
-  static inline V2x2 loadu(const double* p) {
-    return {V2::loadu(p), V2::loadu(p + 2)};
-  }
-  static inline V2x2 broadcast(double x) {
-    return {V2::broadcast(x), V2::broadcast(x)};
-  }
-  static inline V2x2 zero() { return {V2::zero(), V2::zero()}; }
-  inline void store(double* p) const {
-    lo.store(p);
-    hi.store(p + 2);
-  }
-  inline void storeu(double* p) const {
-    lo.storeu(p);
-    hi.storeu(p + 2);
-  }
-  static inline V2x2 add(V2x2 a, V2x2 b) {
-    return {V2::add(a.lo, b.lo), V2::add(a.hi, b.hi)};
-  }
-  static inline V2x2 sub(V2x2 a, V2x2 b) {
-    return {V2::sub(a.lo, b.lo), V2::sub(a.hi, b.hi)};
-  }
-  static inline V2x2 mul(V2x2 a, V2x2 b) {
-    return {V2::mul(a.lo, b.lo), V2::mul(a.hi, b.hi)};
-  }
-  static inline V2x2 div(V2x2 a, V2x2 b) {
-    return {V2::div(a.lo, b.lo), V2::div(a.hi, b.hi)};
-  }
-  static inline V2x2 sqrt(V2x2 a) {
-    return {V2::sqrt(a.lo), V2::sqrt(a.hi)};
-  }
-  // No fma(): SSE2 has no fused op and a mul+add emulation would round
-  // twice, silently breaking the engines' fixed-rounding determinism
-  // contract. The fused engines are V4-only (see kernels.cpp).
-  static inline V2x2 relu(V2x2 x) {
-    return {V2::relu(x.lo), V2::relu(x.hi)};
-  }
-  static inline V2x2 flush_denormal(V2x2 x) {
-    return {V2::flush_denormal(x.lo), V2::flush_denormal(x.hi)};
-  }
-  static inline V2x2 zero_where_nonpositive(V2x2 x, V2x2 gate) {
-    return {V2::zero_where_nonpositive(x.lo, gate.lo),
-            V2::zero_where_nonpositive(x.hi, gate.hi)};
   }
 };
 

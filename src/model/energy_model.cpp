@@ -100,9 +100,8 @@ void EnergyModel::predict_rows(const stats::Matrix& raw,
   PredictScratch& s = predict_scratch();
   scaler_.transform_into(raw, s.scaled);
   // Fused ensemble sweep: one pass over the shared scaled matrix, members
-  // accumulated in net order per row — bitwise identical to the historical
-  // per-net forward_batch loop (and literally that loop when the scalar
-  // kernel set is active).
+  // accumulated in net order per row — bitwise identical to summing the
+  // per-net forward_batch results.
   nn::forward_batch_ensemble(
       std::span<const nn::Mlp>(nets_.data(), nets_.size()), s.scaled, out,
       s.ws, /*mean=*/true);

@@ -15,29 +15,20 @@ constexpr std::size_t round_up4(std::size_t n) {
   return (n + 3) & ~static_cast<std::size_t>(3);
 }
 
-/// Mirror of nn/mlp.cpp's flush_denormal (see the rationale there); the
-/// engines must reproduce it bit for bit.
+/// Flushes a denormal to +0.0 (the scalar twin of V::flush_denormal). Long
+/// trainings park the ADAM moments of near-dead weights in the denormal
+/// range, where every touch takes a microcode assist (~2x on the whole
+/// epoch, measured); a denormal moment cannot move a normal-range weight by
+/// even one ULP (the largest step it can induce is lr * DBL_TRUE_MIN /
+/// epsilon ~= 1e-303), so zeroing it keeps the training trajectory intact
+/// and the arithmetic fast. A denormal backward delta is flushed for the
+/// same reason.
 inline double flushd(double v) {
   return (v < std::numeric_limits<double>::min() &&
           v > -std::numeric_limits<double>::min())
              ? 0.0
              : v;
 }
-
-/// Scalar pairwise dot: the same four virtual accumulators as the vector
-/// kernels (lane k sums indices ≡ k mod 4, ascending), so the result is
-/// identical at every dispatch level.
-double dot_scalar_impl(const double* a, const double* b, std::size_t n) {
-  double s[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < n; ++i) s[i % 4] += a[i] * b[i];
-  return (s[0] + s[1]) + (s[2] + s[3]);
-}
-
-void axpy_scalar_impl(double* y, double a, const double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-#if ECOTUNE_SIMD_X86
 
 /// Fixed-depth constexpr mirror of TrainPlan, built by the same offset
 /// algorithm as build_train_plan. The 9-5-5-1 instance below lets the
@@ -173,31 +164,27 @@ struct FwdStatic9551 {
   static constexpr bool relu(std::size_t) { return true; }
 };
 
-// The fused train/forward engines (ET_ENGINES) exist only at the AVX2
-// level: they rely on V::fma, and SSE2 has no fused operation (emulating
-// one with mul+add would round twice and void the fixed-rounding
-// determinism contract). The SSE2 instantiation carries just the
-// bit-identical dot/axpy kernels.
-#define ET_SUFFIX _avx2
-#define ET_TARGET ECOTUNE_TARGET_AVX2
-#define ET_V ecotune::simd::V4
-#define ET_ENGINES 1
 #include "nn/kernels_engine.inc"  // NOLINT(bugprone-suspicious-include)
-#undef ET_SUFFIX
-#undef ET_TARGET
-#undef ET_V
-#undef ET_ENGINES
 
-#define ET_SUFFIX _sse2
-#define ET_TARGET
-#define ET_V ecotune::simd::V2x2
-#define ET_ENGINES 0
-#include "nn/kernels_engine.inc"  // NOLINT(bugprone-suspicious-include)
-#undef ET_SUFFIX
-#undef ET_TARGET
-#undef ET_V
-#undef ET_ENGINES
+#if ECOTUNE_SIMD_X86
+// The AVX2 entry points. GCC inlines a target("avx2,fma") V4 method only
+// into a function that carries the target too, and the engine templates
+// carry none; flatten inlines the whole engine into these two bodies, so
+// every V4 operation compiles to one inline instruction.
+[[gnu::flatten]] ECOTUNE_TARGET_AVX2 double train_epoch_avx2(
+    const TrainPlan& plan, TrainState& st, const double* x,
+    std::size_t stride, const double* y, const std::size_t* order,
+    std::size_t n) {
+  return train_epoch_engine<simd::V4>(plan, st, x, stride, y, order, n);
+}
 
+[[gnu::flatten]] ECOTUNE_TARGET_AVX2 void forward_batch_avx2(
+    const NetLayerRef* layers, std::size_t nlayers, std::size_t nnets,
+    const double* xcm, std::size_t padded, std::size_t nrows, double* out,
+    bool mean, double* lane_a, double* lane_b) {
+  forward_batch_engine<simd::V4>(layers, nlayers, nnets, xcm, padded, nrows,
+                                 out, mean, lane_a, lane_b);
+}
 #endif  // ECOTUNE_SIMD_X86
 
 }  // namespace
@@ -270,28 +257,29 @@ void init_train_state(const TrainPlan& plan, TrainState& st) {
   st.bc2_saturated = false;
 }
 
-const KernelSet& set_for(simd::Level level) {
-  static const KernelSet scalar_set{simd::Level::kScalar, &dot_scalar_impl,
-                                    &axpy_scalar_impl, nullptr, nullptr};
+double train_epoch(const TrainPlan& plan, TrainState& st, const double* x,
+                   std::size_t stride, const double* y,
+                   const std::size_t* order, std::size_t n) {
 #if ECOTUNE_SIMD_X86
-  static const KernelSet sse2_set{simd::Level::kSse2, &dot_sse2, &axpy_sse2,
-                                  nullptr, nullptr};
-  static const KernelSet avx2_set{simd::Level::kAvx2, &dot_avx2, &axpy_avx2,
-                                  &train_epoch_avx2, &forward_batch_avx2};
-  switch (level) {
-    case simd::Level::kAvx2:
-      return avx2_set;
-    case simd::Level::kSse2:
-      return sse2_set;
-    case simd::Level::kScalar:
-      break;
-  }
-#else
-  (void)level;
+  if (simd::active_level() == simd::Level::kAvx2)
+    return train_epoch_avx2(plan, st, x, stride, y, order, n);
 #endif
-  return scalar_set;
+  return train_epoch_engine<simd::VS>(plan, st, x, stride, y, order, n);
 }
 
-const KernelSet& active() { return set_for(simd::active_level()); }
+void forward_batch(const NetLayerRef* layers, std::size_t nlayers,
+                   std::size_t nnets, const double* xcm, std::size_t padded,
+                   std::size_t nrows, double* out, bool mean, double* lane_a,
+                   double* lane_b) {
+#if ECOTUNE_SIMD_X86
+  if (simd::active_level() == simd::Level::kAvx2) {
+    forward_batch_avx2(layers, nlayers, nnets, xcm, padded, nrows, out, mean,
+                       lane_a, lane_b);
+    return;
+  }
+#endif
+  forward_batch_engine<simd::VS>(layers, nlayers, nnets, xcm, padded, nrows,
+                                 out, mean, lane_a, lane_b);
+}
 
 }  // namespace ecotune::nn::kernels

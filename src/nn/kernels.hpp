@@ -1,29 +1,20 @@
 #pragma once
 
-// Runtime-dispatched SIMD kernel layer for the NN hot paths.
-//
-// A KernelSet bundles the vector kernels for one simd::Level. The scalar
-// and SSE2 sets carry only the generic primitives (dot, axpy); their
-// engine slots are null, which callers (Mlp::train_epoch,
-// forward_batch_ensemble) interpret as "run the historical scalar
-// reference loops". The fused train/forward engines exist only in the
-// AVX2 set: they use FMA throughout, which SSE2 cannot express (see
-// nn/kernels_engine.inc).
+// The NN engine behind every Mlp train/inference path: one fused
+// per-sample ADAM training schedule and one batched multi-network forward
+// pass, written once as templates over a four-lane type
+// (nn/kernels_engine.inc) and instantiated on simd::V4 (AVX2+FMA) and on
+// simd::VS (plain C++, any CPU). train_epoch/forward_batch dispatch on
+// simd::active_level().
 //
 // Determinism contract
 // --------------------
-// * train_epoch / forward_batch engines (AVX2 only): FMA-fused, so NOT
-//   bit-identical to the scalar reference path — but every
-//   multiply-accumulate is one correctly-rounded step in a frozen order,
-//   so results are exactly reproducible run to run, independent of
-//   thread count, on any FMA machine. The scalar reference path keeps
-//   the historical bits (ECOTUNE_SIMD=off / SessionConfig::simd(false));
-//   both paths pin golden training trajectories in tests/test_nn.cpp.
-// * dot: fixed-order pairwise accumulation — four virtual accumulators,
-//   lane k sums elements with index ≡ k (mod 4) in ascending order, then
-//   combines as (s0+s1)+(s2+s3). Identical across ALL levels including
-//   scalar, but differs from a naive left-to-right fold by a few ULP.
-// * axpy: elementwise, exact on every level.
+// Every multiply-accumulate is one correctly rounded fma in a frozen order,
+// and every lane operation of V4 and VS rounds identically, so both levels
+// produce the same bits — run to run, independent of thread count, on any
+// machine. The dispatch level only changes speed; one golden training
+// trajectory in tests/test_nn.cpp pins the result at every level, and
+// tests/test_simd_kernels.cpp asserts EXPECT_EQ across levels.
 //
 // Training-state layout (TrainPlan / TrainState)
 // ----------------------------------------------
@@ -102,13 +93,13 @@ struct NetLayerRef {
   bool relu = true;
 };
 
-/// One epoch of per-sample ADAM SGD over the packed state; returns the
-/// summed loss in visit order (caller divides by the sample count exactly
-/// like the scalar path).
-using TrainEpochFn = double (*)(const TrainPlan& plan, TrainState& st,
-                                const double* x, std::size_t stride,
-                                const double* y, const std::size_t* order,
-                                std::size_t n);
+/// One epoch of per-sample ADAM SGD over the packed state, visiting the
+/// samples in `order`; returns the summed loss in visit order (the caller
+/// divides by the sample count).
+[[nodiscard]] double train_epoch(const TrainPlan& plan, TrainState& st,
+                                 const double* x, std::size_t stride,
+                                 const double* y, const std::size_t* order,
+                                 std::size_t n);
 
 /// Fused multi-network batched forward over a column-major batch. `layers`
 /// holds nnets*nlayers refs, net-major; `xcm` is the batch with columns of
@@ -117,32 +108,9 @@ using TrainEpochFn = double (*)(const TrainPlan& plan, TrainState& st,
 /// Writes the ensemble sum (mean when `mean`) of the scalar outputs of the
 /// first `nrows` samples into `out`, accumulating members in net order —
 /// per sample, bit-identical to summing per-net forward_batch results.
-using ForwardBatchFn = void (*)(const NetLayerRef* layers,
-                                std::size_t nlayers, std::size_t nnets,
-                                const double* xcm, std::size_t padded,
-                                std::size_t nrows, double* out, bool mean,
-                                double* lane_a, double* lane_b);
-
-/// Pairwise dot product (see the contract above): identical result on
-/// every level.
-using DotFn = double (*)(const double* a, const double* b, std::size_t n);
-
-/// y[i] += a * x[i]; elementwise exact on every level.
-using AxpyFn = void (*)(double* y, double a, const double* x, std::size_t n);
-
-struct KernelSet {
-  simd::Level level = simd::Level::kScalar;
-  DotFn dot = nullptr;   ///< never null
-  AxpyFn axpy = nullptr; ///< never null
-  /// Null on the scalar set: callers run the historical reference loops.
-  TrainEpochFn train_epoch = nullptr;
-  ForwardBatchFn forward_batch = nullptr;
-};
-
-/// The kernel set for an explicit level (clamped to scalar off x86).
-[[nodiscard]] const KernelSet& set_for(simd::Level level);
-
-/// The kernel set for the process-wide simd::active_level().
-[[nodiscard]] const KernelSet& active();
+void forward_batch(const NetLayerRef* layers, std::size_t nlayers,
+                   std::size_t nnets, const double* xcm, std::size_t padded,
+                   std::size_t nrows, double* out, bool mean, double* lane_a,
+                   double* lane_b);
 
 }  // namespace ecotune::nn::kernels

@@ -3,60 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <numeric>
 
-#include "common/check.hpp"
 #include "common/error.hpp"
 
 namespace ecotune::nn {
-
-namespace {
-
-/// Flushes denormal optimizer state to zero. Long trainings park the ADAM
-/// moments of near-dead weights in the denormal range, where every touch
-/// takes a microcode assist (~2x on the whole epoch, measured); a denormal
-/// moment cannot move a normal-range weight by even one ULP (the largest
-/// step it can induce is lr * DBL_TRUE_MIN / epsilon ~= 1e-303), so zeroing
-/// it keeps the training trajectory intact and the arithmetic fast.
-inline double flush_denormal(double v) {
-  return (v < std::numeric_limits<double>::min() &&
-          v > -std::numeric_limits<double>::min())
-             ? 0.0
-             : v;
-}
-
-}  // namespace
-
-void Workspace::bind(const std::vector<std::size_t>& sizes) {
-  ECOTUNE_DCHECK(sizes.size() >= 2,
-                 "Workspace::bind: a network has at least an input and an "
-                 "output layer");
-  if (shape_ == sizes) return;
-  shape_ = sizes;
-  max_width_ = *std::max_element(sizes.begin(), sizes.end());
-  act_.resize(sizes.size());
-  for (std::size_t l = 0; l < sizes.size(); ++l) act_[l].resize(sizes[l]);
-  pre_.resize(sizes.size() - 1);
-  for (std::size_t l = 0; l + 1 < sizes.size(); ++l)
-    pre_[l].resize(sizes[l + 1]);
-  delta_.resize(max_width_);
-  prev_delta_.resize(max_width_);
-  batch_rows_ = 0;  // batch buffers are sized per (shape, rows)
-}
-
-void Workspace::bind_batch(std::size_t rows) {
-  // Binding order contract: batch buffers are sized from the bound shape's
-  // max width; bind_batch on an unbound workspace would allocate zero-byte
-  // buffers and batched inference would read/write out of bounds.
-  ECOTUNE_CHECK(max_width_ > 0,
-                "Workspace::bind_batch: bind(layer_sizes) must run first");
-  if (rows <= batch_rows_) return;
-  batch_rows_ = rows;
-  batch_a_.resize(rows * max_width_);
-  batch_b_.resize(rows * max_width_);
-}
 
 Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
   ensure(config_.layer_sizes.size() >= 2, "Mlp: need at least two layers");
@@ -91,7 +43,6 @@ Mlp::Mlp(MlpConfig config, Rng& rng) : Mlp(std::move(config)) {
     for (std::size_t i = 0; i < out; ++i)
       for (std::size_t j = 0; j < in; ++j)
         layer.w(i, j) = rng.normal(0.0, 1.0) * he;
-    layer.wt = layer.w.transpose();
     layer.b.assign(out, 0.0);
     layer.mw = stats::Matrix(out, in);
     layer.vw = stats::Matrix(out, in);
@@ -103,40 +54,12 @@ Mlp::Mlp(MlpConfig config, Rng& rng) : Mlp(std::move(config)) {
   }
 }
 
-void Mlp::forward(std::span<const double> x, std::span<double> out,
-                  Workspace& ws) const {
-  ensure(x.size() == input_size(), "Mlp::forward: input size mismatch");
-  ensure(out.size() == output_size(), "Mlp::forward: output size mismatch");
-  ws.bind(config_.layer_sizes);
-  std::copy(x.begin(), x.end(), ws.act_[0].begin());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    const double* a = ws.act_[l].data();
-    std::vector<double>& z = ws.act_[l + 1];
-    const std::size_t rows = layer.w.rows();
-    const std::size_t cols = layer.w.cols();
-    const double* wr = layer.w.data().data();
-    for (std::size_t i = 0; i < rows; ++i, wr += cols) {
-      double acc = layer.b[i];
-      for (std::size_t j = 0; j < cols; ++j) acc += wr[j] * a[j];
-      z[i] = layer.relu ? std::max(0.0, acc) : acc;
-    }
-  }
-  const std::vector<double>& last = ws.act_.back();
-  std::copy(last.begin(), last.end(), out.begin());
-}
-
-std::vector<double> Mlp::forward(const std::vector<double>& x) const {
-  thread_local Workspace ws;
-  std::vector<double> out(output_size());
-  forward(std::span<const double>(x), std::span<double>(out), ws);
-  return out;
-}
-
 double Mlp::predict(std::span<const double> x, Workspace& ws) const {
   ensure(output_size() == 1, "Mlp::predict: network is not scalar-valued");
+  ensure(x.size() == input_size(), "Mlp::predict: input size mismatch");
   double out = 0.0;
-  forward(x, std::span<double>(&out, 1), ws);
+  forward_rows(std::span<const Mlp>(this, 1), x.data(), 1, &out, ws,
+               /*mean=*/false);
   return out;
 }
 
@@ -147,48 +70,8 @@ double Mlp::predict(const std::vector<double>& x) const {
 
 void Mlp::forward_batch(const stats::Matrix& x, std::span<double> out,
                         Workspace& ws) const {
-  ensure(output_size() == 1, "Mlp::forward_batch: network is not "
-                             "scalar-valued");
-  ensure(x.cols() == input_size(),
-         "Mlp::forward_batch: input size mismatch");
-  ensure(out.size() == x.rows(), "Mlp::forward_batch: output size mismatch");
-  const std::size_t n = x.rows();
-  if (n == 0) return;
-  if (kernels::active().forward_batch != nullptr) {
-    forward_batch_ensemble(std::span<const Mlp>(this, 1), x, out, ws,
-                           /*mean=*/false);
-    return;
-  }
-  ws.bind(config_.layer_sizes);
-  ws.bind_batch(n);
-
-  // Ping-pong the batch through the layers; each row's dot products run in
-  // the same operand order as the per-point forward pass, so the results
-  // are bitwise identical.
-  double* a = ws.batch_a_.data();
-  double* z = ws.batch_b_.data();
-  std::size_t width = input_size();
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto row = x.row_span(r);
-    std::copy(row.begin(), row.end(), a + r * width);
-  }
-  for (const Layer& layer : layers_) {
-    const std::size_t out_w = layer.w.rows();
-    const double* w0 = layer.w.data().data();
-    for (std::size_t r = 0; r < n; ++r) {
-      const double* ar = a + r * width;
-      double* zr = z + r * out_w;
-      const double* wr = w0;
-      for (std::size_t i = 0; i < out_w; ++i, wr += width) {
-        double acc = layer.b[i];
-        for (std::size_t j = 0; j < width; ++j) acc += wr[j] * ar[j];
-        zr[i] = layer.relu ? std::max(0.0, acc) : acc;
-      }
-    }
-    std::swap(a, z);
-    width = out_w;
-  }
-  for (std::size_t r = 0; r < n; ++r) out[r] = a[r];
+  forward_batch_ensemble(std::span<const Mlp>(this, 1), x, out, ws,
+                         /*mean=*/false);
 }
 
 std::vector<double> Mlp::forward_batch(const stats::Matrix& x,
@@ -202,141 +85,14 @@ double Mlp::train_sample(std::span<const double> x,
                          std::span<const double> y) {
   ensure(x.size() == input_size(), "Mlp::train_sample: input size mismatch");
   ensure(y.size() == output_size(), "Mlp::train_sample: label size mismatch");
-  train_ws_.bind(config_.layer_sizes);
-  return train_sample_bound(x.data(), y.data());
-}
-
-double Mlp::train_sample_bound(const double* x, const double* y) {
-  Workspace& ws = train_ws_;
-
-  // Forward pass, caching pre-activations and activations.
-  std::copy(x, x + input_size(), ws.act_[0].begin());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    const double* a = ws.act_[l].data();
-    std::vector<double>& pre = ws.pre_[l];
-    std::vector<double>& act = ws.act_[l + 1];
-    const std::size_t rows = layer.w.rows();
-    const std::size_t cols = layer.w.cols();
-    const double* wr = layer.w.data().data();
-    for (std::size_t i = 0; i < rows; ++i, wr += cols) {
-      double acc = layer.b[i];
-      for (std::size_t j = 0; j < cols; ++j) acc += wr[j] * a[j];
-      pre[i] = acc;
-      act[i] = layer.relu ? std::max(0.0, acc) : acc;
-    }
-  }
-
-  // MSE loss and output gradient: L = mean_i (a_i - y_i)^2.
-  const std::vector<double>& out = ws.act_.back();
-  const std::size_t out_n = out.size();
-  double loss = 0.0;
-  for (std::size_t i = 0; i < out_n; ++i) {
-    const double diff = out[i] - y[i];
-    loss += diff * diff;
-    ws.delta_[i] = 2.0 * diff / static_cast<double>(out_n);
-  }
-  loss /= static_cast<double>(out_n);
-
-  // Backward pass: propagate delta, then fused ADAM update per layer.
-  for (std::size_t li = layers_.size(); li-- > 0;) {
-    Layer& layer = layers_[li];
-    const std::size_t rows = layer.w.rows();
-    const std::size_t cols = layer.w.cols();
-    if (layer.relu) {
-      const std::vector<double>& pre = ws.pre_[li];
-      for (std::size_t i = 0; i < rows; ++i)
-        if (pre[i] <= 0.0) ws.delta_[i] = 0.0;
-    }
-    // Gradient w.r.t. the previous activation (before updating weights),
-    // read row-contiguously off the cached transpose. The innermost sum
-    // runs over i for fixed j, exactly as the historical column walk did.
-    if (li > 0) {
-      const double* d = ws.delta_.data();
-      const double* wtr = layer.wt.data().data();
-      for (std::size_t j = 0; j < cols; ++j, wtr += rows) {
-        double acc = 0.0;
-        for (std::size_t i = 0; i < rows; ++i) acc += wtr[i] * d[i];
-        // A denormal delta can only spawn denormal gradients and moments
-        // (which are flushed anyway); zero it before it poisons the
-        // downstream arithmetic with microcode assists.
-        ws.prev_delta_[j] = flush_denormal(acc);
-      }
-    }
-    adam_step(layer, std::span<const double>(ws.delta_.data(), rows),
-              std::span<const double>(ws.act_[li]), li > 0);
-    std::swap(ws.delta_, ws.prev_delta_);
-  }
-  return loss;
+  ensure(output_size() == 1, "Mlp::train_sample: expects a scalar label");
+  const std::size_t only = 0;
+  return train_order(x.data(), x.size(), y.data(), &only, 1);
 }
 
 double Mlp::train_sample(const std::vector<double>& x,
                          const std::vector<double>& y) {
   return train_sample(std::span<const double>(x), std::span<const double>(y));
-}
-
-void Mlp::adam_step(Layer& layer, std::span<const double> delta,
-                    std::span<const double> a_in, bool maintain_transpose) {
-  ++timestep_;
-  const double b1 = config_.beta1;
-  const double b2 = config_.beta2;
-  // Bias corrections. Saturation shortcut: once 1 - beta^t == 1.0 exactly,
-  // monotonicity of beta^t (for 0 <= beta < 1) keeps it exactly 1.0 for
-  // every later t, so the pow() is skipped; and x / 1.0 == x bitwise, so
-  // the per-parameter divisions by a saturated correction are skipped too.
-  // Both shortcuts are bit-exact no-ops; they only avoid redundant work.
-  double bc1 = 1.0;
-  if (!bc1_saturated_) {
-    bc1 = 1.0 - std::pow(b1, static_cast<double>(timestep_));
-    bc1_saturated_ = (bc1 == 1.0 && b1 >= 0.0 && b1 < 1.0);
-  }
-  double bc2 = 1.0;
-  if (!bc2_saturated_) {
-    bc2 = 1.0 - std::pow(b2, static_cast<double>(timestep_));
-    bc2_saturated_ = (bc2 == 1.0 && b2 >= 0.0 && b2 < 1.0);
-  }
-  const bool correct1 = (bc1 != 1.0);
-  const bool correct2 = (bc2 != 1.0);
-  const double lr = config_.learning_rate;
-
-  const std::size_t rows = layer.w.rows();
-  const std::size_t cols = layer.w.cols();
-  const double eps = config_.epsilon;
-  double* w = layer.w.data().data();
-  double* wt = layer.wt.data().data();
-  double* mw = layer.mw.data().data();
-  double* vw = layer.vw.data().data();
-  for (std::size_t i = 0; i < rows; ++i, w += cols, mw += cols, vw += cols) {
-    const double d = delta[i];
-    if (!correct1 && !correct2) {
-      // Steady state (both corrections saturated at 1.0): a branch- and
-      // division-by-correction-free elementwise loop the compiler can
-      // vectorize. Bit-identical to the general form below.
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double g = d * a_in[j];
-        mw[j] = flush_denormal(b1 * mw[j] + (1 - b1) * g);
-        vw[j] = flush_denormal(b2 * vw[j] + (1 - b2) * g * g);
-        w[j] -= lr * mw[j] / (std::sqrt(vw[j]) + eps);
-      }
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double g = d * a_in[j];
-        mw[j] = flush_denormal(b1 * mw[j] + (1 - b1) * g);
-        vw[j] = flush_denormal(b2 * vw[j] + (1 - b2) * g * g);
-        const double mhat = correct1 ? mw[j] / bc1 : mw[j];
-        const double vhat = correct2 ? vw[j] / bc2 : vw[j];
-        w[j] -= lr * mhat / (std::sqrt(vhat) + eps);
-      }
-    }
-    if (maintain_transpose)
-      for (std::size_t j = 0; j < cols; ++j) wt[j * rows + i] = w[j];
-    const double g = d;
-    layer.mb[i] = flush_denormal(b1 * layer.mb[i] + (1 - b1) * g);
-    layer.vb[i] = flush_denormal(b2 * layer.vb[i] + (1 - b2) * g * g);
-    const double mhat = correct1 ? layer.mb[i] / bc1 : layer.mb[i];
-    const double vhat = correct2 ? layer.vb[i] / bc2 : layer.vb[i];
-    layer.b[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-  }
 }
 
 double Mlp::train_epoch(const stats::Matrix& x, const std::vector<double>& y,
@@ -351,17 +107,9 @@ double Mlp::train_epoch(const stats::Matrix& x, const std::vector<double>& y,
         shuffle_rng.uniform_int(0, static_cast<std::int64_t>(i)));
     std::swap(order[i], order[j]);
   }
-  // The shuffle draws happen before dispatch, so both paths consume the
-  // RNG identically and visit the rows in the same order.
-  const kernels::KernelSet& ks = kernels::active();
-  if (ks.train_epoch != nullptr) return train_epoch_kernel(ks, x, y, order);
-  train_ws_.bind(config_.layer_sizes);
-  const double* data = x.data().data();
-  const std::size_t stride = x.cols();
-  double total = 0.0;
-  for (const auto idx : order)
-    total += train_sample_bound(data + idx * stride, &y[idx]);
-  return total / static_cast<double>(x.rows());
+  return train_order(x.data().data(), x.cols(), y.data(), order.data(),
+                     order.size()) /
+         static_cast<double>(x.rows());
 }
 
 void Mlp::engine_pack() {
@@ -416,7 +164,6 @@ void Mlp::engine_unpack() {
         layer.w(i, j) = p[k];
         layer.mw(i, j) = m[k];
         layer.vw(i, j) = v[k];
-        layer.wt(j, i) = p[k];
       }
     }
   }
@@ -425,10 +172,8 @@ void Mlp::engine_unpack() {
   bc2_saturated_ = e.state.bc2_saturated;
 }
 
-double Mlp::train_epoch_kernel(const kernels::KernelSet& ks,
-                               const stats::Matrix& x,
-                               const std::vector<double>& y,
-                               const std::vector<std::size_t>& order) {
+double Mlp::train_order(const double* x, std::size_t stride, const double* y,
+                        const std::size_t* order, std::size_t n) {
   if (!engine_) {
     engine_ = std::make_unique<TrainEngine>();
     std::vector<std::uint8_t> relu;
@@ -440,11 +185,40 @@ double Mlp::train_epoch_kernel(const kernels::KernelSet& ks,
     kernels::init_train_state(engine_->plan, engine_->state);
   }
   engine_pack();
-  const double total = ks.train_epoch(engine_->plan, engine_->state,
-                                      x.data().data(), x.cols(), y.data(),
-                                      order.data(), order.size());
+  const double total = kernels::train_epoch(engine_->plan, engine_->state, x,
+                                            stride, y, order, n);
   engine_unpack();
-  return total / static_cast<double>(x.rows());
+  return total;
+}
+
+void Mlp::forward_rows(std::span<const Mlp> nets, const double* x,
+                       std::size_t n, double* out, Workspace& ws, bool mean) {
+  const Mlp& first = nets.front();
+  const std::size_t cols = first.input_size();
+  const std::size_t padded = (n + 3) & ~static_cast<std::size_t>(3);
+  if (ws.cm_.size() < padded * cols) ws.cm_.resize(padded * cols);
+  for (std::size_t j = 0; j < cols; ++j) {
+    double* col = ws.cm_.data() + j * padded;
+    for (std::size_t r = 0; r < n; ++r) col[r] = x[r * cols + j];
+    for (std::size_t r = n; r < padded; ++r) col[r] = 0.0;
+  }
+  const std::vector<std::size_t>& sizes = first.config_.layer_sizes;
+  const std::size_t lane_len =
+      4 * *std::max_element(sizes.begin(), sizes.end());
+  if (ws.lane_a_.size() < lane_len) {
+    ws.lane_a_.resize(lane_len);
+    ws.lane_b_.resize(lane_len);
+  }
+  ws.refs_.clear();
+  for (const Mlp& net : nets) {
+    for (const Layer& layer : net.layers_) {
+      ws.refs_.push_back({layer.w.data().data(), layer.b.data(),
+                          layer.w.rows(), layer.w.cols(), layer.relu});
+    }
+  }
+  kernels::forward_batch(ws.refs_.data(), first.layers_.size(), nets.size(),
+                         ws.cm_.data(), padded, n, out, mean,
+                         ws.lane_a_.data(), ws.lane_b_.data());
 }
 
 void forward_batch_ensemble(std::span<const Mlp> nets, const stats::Matrix& x,
@@ -460,50 +234,8 @@ void forward_batch_ensemble(std::span<const Mlp> nets, const stats::Matrix& x,
          "forward_batch_ensemble: input size mismatch");
   ensure(out.size() == x.rows(),
          "forward_batch_ensemble: output size mismatch");
-  const std::size_t n = x.rows();
-  if (n == 0) return;
-  const kernels::KernelSet& ks = kernels::active();
-  if (ks.forward_batch == nullptr) {
-    // Scalar reference path: per-member batched sweeps accumulated in
-    // member order — the historical EnergyModel::predict_rows loop.
-    ws.bind(first.config_.layer_sizes);
-    if (ws.ens_member_.size() < n) ws.ens_member_.resize(n);
-    std::fill(out.begin(), out.end(), 0.0);
-    const std::span<double> member(ws.ens_member_.data(), n);
-    for (const Mlp& net : nets) {
-      net.forward_batch(x, member, ws);
-      for (std::size_t r = 0; r < n; ++r) out[r] += member[r];
-    }
-    if (mean) {
-      const double count = static_cast<double>(nets.size());
-      for (std::size_t r = 0; r < n; ++r) out[r] /= count;
-    }
-    return;
-  }
-  ws.bind(first.config_.layer_sizes);
-  const std::size_t cols = first.input_size();
-  const std::size_t padded = (n + 3) & ~static_cast<std::size_t>(3);
-  if (ws.cm_.size() < padded * cols) ws.cm_.resize(padded * cols);
-  for (std::size_t j = 0; j < cols; ++j) {
-    double* col = ws.cm_.data() + j * padded;
-    for (std::size_t r = 0; r < n; ++r) col[r] = x(r, j);
-    for (std::size_t r = n; r < padded; ++r) col[r] = 0.0;
-  }
-  const std::size_t lane_len = 4 * ws.max_width_;
-  if (ws.lane_a_.size() < lane_len) {
-    ws.lane_a_.resize(lane_len);
-    ws.lane_b_.resize(lane_len);
-  }
-  ws.refs_.clear();
-  for (const Mlp& net : nets) {
-    for (const Mlp::Layer& layer : net.layers_) {
-      ws.refs_.push_back({layer.w.data().data(), layer.b.data(),
-                          layer.w.rows(), layer.w.cols(), layer.relu});
-    }
-  }
-  ks.forward_batch(ws.refs_.data(), first.layers_.size(), nets.size(),
-                   ws.cm_.data(), padded, n, out.data(), mean,
-                   ws.lane_a_.data(), ws.lane_b_.data());
+  if (x.rows() == 0) return;
+  Mlp::forward_rows(nets, x.data().data(), x.rows(), out.data(), ws, mean);
 }
 
 std::size_t Mlp::parameter_count() const {
@@ -598,7 +330,6 @@ Mlp Mlp::from_json(const Json& j) {
     const std::size_t out = wj.size();
     const std::size_t in = out ? wj[0].as_array().size() : 0;
     layer.w = matrix_from_json(lj.at("w"), out, in, "weight matrix");
-    layer.wt = layer.w.transpose();
     for (const auto& v : bj) layer.b.push_back(v.as_number());
     ensure(layer.b.size() == out, "Mlp::from_json: bias size mismatch");
     if (lj.contains("mw")) {

@@ -37,62 +37,42 @@ class Workspace;
 /// all members' layer sweeps interleaved over the same cache-resident
 /// rows) writing the member-order ensemble sum — the mean when `mean` is
 /// set — into `out`. Bitwise identical to calling net.forward_batch per
-/// member and accumulating in member order, on every dispatch level; with
-/// the scalar kernel set active it literally runs that reference loop.
+/// member and accumulating in member order, at every dispatch level.
 void forward_batch_ensemble(std::span<const Mlp> nets, const stats::Matrix& x,
                             std::span<double> out, Workspace& ws, bool mean);
 
-/// Reusable scratch buffers for Mlp forward/backward passes. A workspace
-/// binds lazily to a network's layer geometry on first use and is reused
-/// allocation-free afterwards (rebinding to a different geometry regrows the
-/// buffers). Workspaces are not thread-safe: give each thread its own.
+/// Reusable scratch for Mlp inference: the column-major batch (columns
+/// padded to a multiple of 4 rows), two aligned lane rows, and the borrowed
+/// layer refs the engine reads. Buffers grow on demand and are reused
+/// allocation-free afterwards. Workspaces are not thread-safe: give each
+/// thread its own.
 class Workspace {
  public:
   Workspace() = default;
 
  private:
   friend class Mlp;
-  friend void forward_batch_ensemble(std::span<const Mlp> nets,
-                                     const stats::Matrix& x,
-                                     std::span<double> out, Workspace& ws,
-                                     bool mean);
 
-  /// Grows the per-point buffers to `sizes` (the network's layer widths).
-  void bind(const std::vector<std::size_t>& sizes);
-  /// Grows the two batch ping-pong buffers to `rows` x max layer width.
-  void bind_batch(std::size_t rows);
-
-  std::vector<std::size_t> shape_;            ///< bound layer widths
-  std::size_t max_width_ = 0;
-  std::vector<std::vector<double>> act_;      ///< activations a[0..L]
-  std::vector<std::vector<double>> pre_;      ///< pre-activations z[0..L-1]
-  std::vector<double> delta_, prev_delta_;    ///< backprop buffers
-  std::vector<double> batch_a_, batch_b_;     ///< batched layer ping-pong
-  std::size_t batch_rows_ = 0;
-  /// Fused-inference scratch: the column-major batch (columns padded to a
-  /// multiple of 4 rows), two aligned lane rows, the per-member buffer of
-  /// the scalar reference path, and the borrowed layer refs.
   simd::aligned_vector<double> cm_, lane_a_, lane_b_;
-  std::vector<double> ens_member_;
   std::vector<kernels::NetLayerRef> refs_;
 };
 
 /// Fully connected feed-forward network trained by per-sample stochastic
 /// gradient descent with ADAM on a mean-squared-error objective.
 ///
-/// The hot paths are allocation-free: training reuses an internal Workspace
-/// and walks dataset rows through stats::Matrix::row_span; inference routes
-/// through a caller-supplied (or thread-local) Workspace. Batched inference
-/// (forward_batch) sweeps each layer over a whole feature matrix and is
-/// bitwise identical to the per-point path: every dot product accumulates
-/// in the same operand order.
+/// Every train and inference path runs the one NN engine (nn/kernels.hpp):
+/// training packs the network into the engine's blocked state, runs the
+/// samples in order, and unpacks; inference runs lane groups of four rows
+/// through a caller-supplied (or thread-local) Workspace. predict() is a
+/// one-row group and train_sample() a one-sample order, so every path
+/// produces the same bits as its batched form, at every dispatch level.
 class Mlp {
  public:
   /// Initializes weights ~ N(0,1) * sqrt(2/n_in) (He et al.), biases zero.
   Mlp(MlpConfig config, Rng& rng);
 
   /// Copies transfer the network and optimizer state but not the cached
-  /// kernel-engine scratch (it rebinds lazily on the next train_epoch).
+  /// kernel-engine scratch (it rebinds lazily on the next training call).
   Mlp(const Mlp& other);
   Mlp& operator=(const Mlp& other);
   Mlp(Mlp&&) = default;
@@ -107,18 +87,11 @@ class Mlp {
     return config_.layer_sizes.back();
   }
 
-  /// Forward pass; returns the output vector.
-  [[nodiscard]] std::vector<double> forward(
-      const std::vector<double>& x) const;
-
-  /// Allocation-free forward pass into `out` (out.size() == output_size()).
-  void forward(std::span<const double> x, std::span<double> out,
-               Workspace& ws) const;
-
-  /// Scalar prediction convenience (single-output networks).
+  /// Scalar prediction (single-output networks).
   [[nodiscard]] double predict(const std::vector<double>& x) const;
 
   /// Allocation-free scalar prediction through a caller-owned workspace.
+  /// Bitwise identical to the same row through forward_batch().
   [[nodiscard]] double predict(std::span<const double> x,
                                Workspace& ws) const;
 
@@ -130,15 +103,16 @@ class Mlp {
   [[nodiscard]] std::vector<double> forward_batch(const stats::Matrix& x,
                                                   Workspace& ws) const;
 
-  /// One forward/backward pass and ADAM update on a single sample; returns
-  /// the sample's squared-error loss before the update.
+  /// One forward/backward pass and ADAM update on a single sample of a
+  /// scalar-output network; returns the sample's squared-error loss before
+  /// the update. Identical to a train_epoch visiting just this sample.
   double train_sample(const std::vector<double>& x,
                       const std::vector<double>& y);
   double train_sample(std::span<const double> x, std::span<const double> y);
 
   /// One epoch of per-sample SGD over (x, y) in shuffled order; returns the
-  /// mean loss. Allocation-free: rows are visited via row_span and all
-  /// scratch lives in the network's internal workspace.
+  /// mean loss. Allocation-free after the first call: the engine's packed
+  /// state is kept between calls.
   double train_epoch(const stats::Matrix& x, const std::vector<double>& y,
                      Rng& shuffle_rng);
 
@@ -154,9 +128,6 @@ class Mlp {
  private:
   struct Layer {
     stats::Matrix w;         ///< out x in
-    stats::Matrix wt;        ///< in x out: cached transpose of w, kept in
-                             ///< sync by every update; the backward pass
-                             ///< reads it row-contiguously
     std::vector<double> b;   ///< out
     stats::Matrix mw, vw;    ///< ADAM first/second moments for w
     std::vector<double> mb, vb;
@@ -168,35 +139,28 @@ class Mlp {
                                      std::span<double> out, Workspace& ws,
                                      bool mean);
 
-  /// Cached kernel-engine training scratch: the blocked layout plan and the
-  /// packed parameter/moment state. Exists only between pack (train_epoch
-  /// entry) and unpack (exit) — layers_ stays the canonical storage at
-  /// rest, so serialization and inference never see the blocked form.
+  /// Cached engine training scratch: the blocked layout plan and the packed
+  /// parameter/moment state. Meaningful only between pack (training entry)
+  /// and unpack (exit) — layers_ stays the canonical storage at rest, so
+  /// serialization and inference never see the blocked form.
   struct TrainEngine {
     kernels::TrainPlan plan;
     kernels::TrainState state;
   };
 
   explicit Mlp(MlpConfig config);  // uninitialized (for from_json)
-  /// train_sample with sizes validated and the workspace already bound (the
-  /// per-row body of train_epoch).
-  double train_sample_bound(const double* x, const double* y);
-  /// The vector-engine epoch: pack layers_ into the blocked state, run the
-  /// kernel engine over `order`, unpack. Bit-identical to the scalar loop.
-  double train_epoch_kernel(const kernels::KernelSet& ks,
-                            const stats::Matrix& x,
-                            const std::vector<double>& y,
-                            const std::vector<std::size_t>& order);
+  /// Packs layers_ into the engine's blocked state, trains the `n` samples
+  /// of the row-major `x` (row stride `stride`) in `order`, and unpacks;
+  /// returns the summed loss.
+  double train_order(const double* x, std::size_t stride, const double* y,
+                     const std::size_t* order, std::size_t n);
   void engine_pack();
   void engine_unpack();
-  /// Fused backward step for one layer: ADAM update of (w, b) from the
-  /// layer's delta and input activation. Operand order matches the
-  /// historical grad-then-adam_step formulation bit for bit. When
-  /// `maintain_transpose` is set the cached transpose is refreshed after
-  /// the row update (the input layer's transpose is never read by the
-  /// backward pass, so training skips it).
-  void adam_step(Layer& layer, std::span<const double> delta,
-                 std::span<const double> a_in, bool maintain_transpose);
+  /// Engine forward of the ensemble `nets` over `n` row-major samples `x`
+  /// into `out` (sizes already validated; n > 0).
+  static void forward_rows(std::span<const Mlp> nets, const double* x,
+                           std::size_t n, double* out, Workspace& ws,
+                           bool mean);
 
   MlpConfig config_;
   std::vector<Layer> layers_;
@@ -207,8 +171,7 @@ class Mlp {
   /// skipped without changing a single bit of the update.
   bool bc1_saturated_ = false;
   bool bc2_saturated_ = false;
-  Workspace train_ws_;  ///< scratch for the training hot path
-  std::unique_ptr<TrainEngine> engine_;  ///< lazy vector-engine scratch
+  std::unique_ptr<TrainEngine> engine_;  ///< lazy engine training scratch
 };
 
 }  // namespace ecotune::nn

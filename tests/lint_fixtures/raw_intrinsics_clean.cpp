@@ -7,7 +7,7 @@
 
 void scale4(double* p, double a) {
   using V = ecotune::simd::V4;  // the wrappers are the API
-  V::mul(V::loadu(p), V::broadcast(a)).storeu(p);
+  V::mul(V::load(p), V::broadcast(a)).store(p);
 }
 
 int mm256 = 0;          // no leading underscore: not an intrinsic

@@ -243,8 +243,7 @@ std::vector<std::string> model_lines(const std::string& dir) {
   std::vector<std::string> out;
   for (const auto& line : store_lines(dir)) {
     const Json entry = Json::parse(line);
-    if (entry.at("task").as_string().find("/model/") != std::string::npos)
-      out.push_back(line);
+    if (entry.at("task").as_string().ends_with("/model")) out.push_back(line);
   }
   return out;
 }
@@ -259,10 +258,7 @@ TEST(ApiModelEntry, ColdSessionWritesOneEntryAndWarmSessionLoadsIt) {
   // The stored model is the model a storeless session trains.
   EXPECT_EQ(cold_dump, tiny_model().to_json().dump(-1));
   ASSERT_EQ(model_lines(dir).size(), 1u);
-  EXPECT_NE(model_lines(dir).front().find(
-                std::string("\"m/model/") +
-                simd::to_string(simd::active_level()) + "\""),
-            std::string::npos);
+  EXPECT_NE(model_lines(dir).front().find("\"m/model\""), std::string::npos);
 
   // Another jobs value shares the entry: zero misses, zero writes.
   api::Session warm(tiny_config().jobs(4).cache(dir).scope("m"));
@@ -272,6 +268,32 @@ TEST(ApiModelEntry, ColdSessionWritesOneEntryAndWarmSessionLoadsIt) {
   EXPECT_EQ(warm.store().stats().misses, 0);
   EXPECT_EQ(warm.store().stats().writes, 0);
   EXPECT_EQ(model_lines(dir).size(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ApiModelEntry, StoreWrittenAtAvx2AnswersAScalarSession) {
+  // Every dispatch level trains the same bits, so the model entry carries
+  // no level: a scalar session loads what an AVX2 session stored.
+  if (!simd::supported(simd::Level::kAvx2)) {
+    GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  }
+  const std::string dir = model_store_dir("levels");
+  std::string avx2_json;
+  {
+    const simd::ScopedLevel avx2(simd::Level::kAvx2);
+    api::Session cold(tiny_config().jobs(2).cache(dir).scope("m"));
+    avx2_json = cold.train_model().canonical_json();
+  }
+  const simd::ScopedLevel scalar(simd::Level::kScalar);
+  {
+    api::Session warm(tiny_config().jobs(2).cache(dir).scope("m"));
+    EXPECT_EQ(warm.train_model().canonical_json(), avx2_json);
+    EXPECT_EQ(warm.store().stats().misses, 0);
+    EXPECT_EQ(warm.store().stats().writes, 0);
+  }
+  // And what it loads is what the scalar level trains from scratch.
+  api::Session fresh(tiny_config().jobs(2));
+  EXPECT_EQ(fresh.train_model().canonical_json(), avx2_json);
   std::filesystem::remove_all(dir);
 }
 
@@ -347,7 +369,7 @@ TEST(ApiModelEntry, UndecodableModelLogsAnErrorAndRetrains) {
   bool corrupted = false;
   for (auto& line : lines) {
     const auto at = line.find("\"networks\"");
-    if (line.find("\"m/model/") == std::string::npos ||
+    if (line.find("\"m/model\"") == std::string::npos ||
         at == std::string::npos)
       continue;
     line.replace(at, 10, "\"netwerks\"");
@@ -369,7 +391,7 @@ TEST(ApiModelEntry, UndecodableModelLogsAnErrorAndRetrains) {
     writes = session.store().stats().writes;
   }
   log::set_sink(nullptr);
-  EXPECT_NE(log_sink.str().find("undecodable cache payload for 'model/"),
+  EXPECT_NE(log_sink.str().find("undecodable cache payload for 'model'"),
             std::string::npos)
       << log_sink.str();
   EXPECT_EQ(retrained, tiny_model().to_json().dump(-1));

@@ -10,6 +10,12 @@
 namespace ecotune::nn {
 namespace {
 
+std::vector<simd::Level> supported_levels() {
+  std::vector<simd::Level> out{simd::Level::kScalar};
+  if (simd::supported(simd::Level::kAvx2)) out.push_back(simd::Level::kAvx2);
+  return out;
+}
+
 TEST(Mlp, PaperArchitectureShape) {
   Rng rng(1);
   const Mlp net(MlpConfig{}, rng);
@@ -176,40 +182,51 @@ TEST(Mlp, RejectsDegenerateConfig) {
 }
 
 TEST(Mlp, ForwardBatchMatchesScalarBitwise) {
-  // On the scalar reference path the batched forward must be
-  // indistinguishable from per-point forwards: exact equality (EXPECT_EQ
-  // on doubles), across shapes and activation configurations. The fused
-  // AVX2 engine is deliberately not bit-identical to predict() — its
-  // equivalence (ULP bounds, determinism) is pinned in
-  // test_simd_kernels.cpp.
-  const simd::ScopedLevel force_scalar(simd::Level::kScalar);
+  // The batched forward must be indistinguishable from per-point
+  // predict() calls: exact equality (EXPECT_EQ on doubles), across shapes,
+  // activation configurations and every supported dispatch level.
   const std::vector<std::vector<std::size_t>> shapes{
       {9, 5, 5, 1}, {4, 8, 1}, {2, 3, 3, 3, 1}};
-  for (std::size_t s = 0; s < shapes.size(); ++s) {
-    for (bool relu_out : {true, false}) {
-      MlpConfig cfg;
-      cfg.layer_sizes = shapes[s];
-      cfg.relu_output = relu_out;
-      Rng rng(100 + 10 * s + (relu_out ? 1 : 0));
-      const Mlp net(cfg, rng);
-      Rng data(200 + s);
-      stats::Matrix x(64, shapes[s].front());
-      for (std::size_t r = 0; r < x.rows(); ++r)
-        for (std::size_t c = 0; c < x.cols(); ++c)
-          x(r, c) = data.normal(0.0, 2.0);
-      Workspace ws;
-      std::vector<double> batch(x.rows());
-      net.forward_batch(x, std::span<double>(batch), ws);
-      for (std::size_t r = 0; r < x.rows(); ++r) {
-        EXPECT_EQ(batch[r], net.predict(x.row(r)))
-            << "shape " << s << " relu_out " << relu_out << " row " << r;
+  for (const simd::Level level : supported_levels()) {
+    const simd::ScopedLevel scope(level);
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+      for (bool relu_out : {true, false}) {
+        MlpConfig cfg;
+        cfg.layer_sizes = shapes[s];
+        cfg.relu_output = relu_out;
+        Rng rng(100 + 10 * s + (relu_out ? 1 : 0));
+        const Mlp net(cfg, rng);
+        Rng data(200 + s);
+        stats::Matrix x(64, shapes[s].front());
+        for (std::size_t r = 0; r < x.rows(); ++r)
+          for (std::size_t c = 0; c < x.cols(); ++c)
+            x(r, c) = data.normal(0.0, 2.0);
+        Workspace ws;
+        std::vector<double> batch(x.rows());
+        net.forward_batch(x, std::span<double>(batch), ws);
+        for (std::size_t r = 0; r < x.rows(); ++r) {
+          EXPECT_EQ(batch[r], net.predict(x.row(r)))
+              << simd::to_string(level) << " shape " << s << " relu_out "
+              << relu_out << " row " << r;
+        }
       }
     }
   }
 }
 
-/// Shared scenario for the golden-loss-sequence tests below.
-void run_golden_sequence(const double (&golden)[6]) {
+/// Training trajectory of the engine with a frozen rounding sequence (one
+/// fma per multiply-accumulate, fixed order): exactly reproducible on any
+/// machine and identical at every dispatch level. These values were
+/// captured when the fused engine landed; a mismatch means the rounding
+/// sequence changed (reordered accumulation, a dropped fuse, ...), which
+/// would also break warm-restart byte-identity.
+constexpr double kGoldenLosses[6] = {
+    0.59483072942753346,  0.10501934169583925, 0.09149434761043107,
+    0.08795480549664586,  0.086658586035511534, 0.085485810282437971};
+
+/// Shared scenario for the golden-loss-sequence tests below: six epochs at
+/// the given dispatch level must reproduce kGoldenLosses bit for bit.
+void run_golden_sequence(simd::Level level) {
   const std::size_t n = 2048;
   Rng data_rng(0xDA7A);
   stats::Matrix x(n, 9);
@@ -218,41 +235,25 @@ void run_golden_sequence(const double (&golden)[6]) {
     for (std::size_t j = 0; j < 9; ++j) x(i, j) = data_rng.normal(0.0, 1.0);
     y[i] = data_rng.uniform(0.5, 1.5);
   }
+  const simd::ScopedLevel scope(level);
   Rng rng(0x60D1);
   Mlp net(MlpConfig{}, rng);
   Rng shuffle(0x60D2);
   for (int e = 0; e < 6; ++e) {
-    EXPECT_EQ(net.train_epoch(x, y, shuffle), golden[e]) << "epoch " << e;
+    EXPECT_EQ(net.train_epoch(x, y, shuffle), kGoldenLosses[e])
+        << simd::to_string(level) << " epoch " << e;
   }
 }
 
 TEST(Mlp, TrainEpochGoldenLossSequence) {
-  // Golden values captured from the pre-workspace (PR-3) implementation:
-  // on the scalar reference path every later refactor must reproduce the
-  // training trajectory bit for bit (same shuffles, same per-dot-product
-  // operation order).
-  const simd::ScopedLevel force_scalar(simd::Level::kScalar);
-  const double golden[6] = {
-      0.59483072942753357,  0.10501934169583924, 0.091494347610431057,
-      0.087954805496645874, 0.08665858603551152, 0.085485810282438013};
-  run_golden_sequence(golden);
+  run_golden_sequence(simd::Level::kScalar);
 }
 
 TEST(Mlp, TrainEpochGoldenLossSequenceAvx2Engine) {
-  // The fused AVX2 engine trains with FMA contraction, so its trajectory
-  // differs from the scalar goldens in the last ulps — but it must be
-  // exactly reproducible on any FMA machine. These values were captured
-  // from the engine itself when it landed; a mismatch means the engine's
-  // fixed rounding sequence changed (reordered accumulation, a dropped
-  // fuse, ...), which would also break warm-restart byte-identity.
   if (!simd::supported(simd::Level::kAvx2)) {
     GTEST_SKIP() << "CPU lacks AVX2+FMA";
   }
-  const simd::ScopedLevel force_avx2(simd::Level::kAvx2);
-  const double golden[6] = {
-      0.59483072942753346,  0.10501934169583925, 0.09149434761043107,
-      0.08795480549664586,  0.086658586035511534, 0.085485810282437971};
-  run_golden_sequence(golden);
+  run_golden_sequence(simd::Level::kAvx2);
 }
 
 TEST(Mlp, AdamStateSurvivesSerializationRoundTrip) {

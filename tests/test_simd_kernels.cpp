@@ -1,13 +1,12 @@
 // Contract tests for the SIMD kernel layer (common/simd.hpp +
-// nn/kernels.*): level parsing and dispatch, the exact cross-level
-// guarantees (dot/axpy bit-identical everywhere), the fused AVX2 engine's
-// looser guarantee (last-ulp agreement with the scalar reference path,
-// exact run-to-run determinism), and the documented 9-5-5-1 blocked
-// parameter layout.
+// nn/kernels.*): level parsing and dispatch, the documented 9-5-5-1
+// blocked parameter layout, and the one-tier determinism contract — the
+// engine on VS lanes (kScalar) and on V4 registers (kAvx2) produces the
+// same bits, asserted with EXPECT_EQ over training losses, serialized
+// weights and ADAM moments, batched and single-row inference.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,29 +20,13 @@ namespace {
 
 std::vector<simd::Level> supported_levels() {
   std::vector<simd::Level> out{simd::Level::kScalar};
-  if (simd::supported(simd::Level::kSse2)) out.push_back(simd::Level::kSse2);
   if (simd::supported(simd::Level::kAvx2)) out.push_back(simd::Level::kAvx2);
   return out;
-}
-
-/// |a - b| within `ulps` units in the last place of the larger magnitude
-/// (absolute epsilon floor for values near zero). The fused engine is
-/// allowed this much drift from the scalar reference; anything larger
-/// means an accumulation order changed.
-::testing::AssertionResult near_ulps(double a, double b, double ulps) {
-  const double eps = std::numeric_limits<double>::epsilon();
-  const double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
-  if (std::fabs(a - b) <= ulps * eps * scale)
-    return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << a << " vs " << b << " differ by " << std::fabs(a - b) << " (> "
-         << ulps << " ulps at scale " << scale << ")";
 }
 
 TEST(SimdLevel, ParseAcceptsDocumentedSpellings) {
   EXPECT_EQ(simd::parse_level("off"), simd::Level::kScalar);
   EXPECT_EQ(simd::parse_level("scalar"), simd::Level::kScalar);
-  EXPECT_EQ(simd::parse_level("sse2"), simd::Level::kSse2);
   EXPECT_EQ(simd::parse_level("avx2"), simd::Level::kAvx2);
   EXPECT_EQ(simd::parse_level(""), simd::detect_best());
   EXPECT_EQ(simd::parse_level("auto"), simd::detect_best());
@@ -55,6 +38,8 @@ TEST(SimdLevel, ParseRejectsTypos) {
   EXPECT_THROW((void)simd::parse_level("avx512"), ConfigError);
   EXPECT_THROW((void)simd::parse_level("OFF"), ConfigError);
   EXPECT_THROW((void)simd::parse_level("none"), ConfigError);
+  // The retired SSE2 level is a typo like any other.
+  EXPECT_THROW((void)simd::parse_level("sse2"), ConfigError);
 }
 
 TEST(SimdLevel, DetectBestIsSupportedAndOrdered) {
@@ -66,64 +51,6 @@ TEST(SimdLevel, ScopedLevelDrivesDispatch) {
   for (const simd::Level level : supported_levels()) {
     const simd::ScopedLevel scope(level);
     EXPECT_EQ(simd::active_level(), level);
-    EXPECT_EQ(kernels::active().level, level);
-  }
-}
-
-TEST(SimdLevel, EngineSlotsMatchTheContract) {
-  // Fused train/forward engines exist only at the AVX2 level (they need
-  // FMA); every level carries the generic dot/axpy primitives.
-  for (const simd::Level level : supported_levels()) {
-    const kernels::KernelSet& ks = kernels::set_for(level);
-    EXPECT_EQ(ks.level, level);
-    EXPECT_NE(ks.dot, nullptr);
-    EXPECT_NE(ks.axpy, nullptr);
-    const bool fused = level == simd::Level::kAvx2;
-    EXPECT_EQ(ks.train_epoch != nullptr, fused) << simd::to_string(level);
-    EXPECT_EQ(ks.forward_batch != nullptr, fused) << simd::to_string(level);
-  }
-}
-
-TEST(SimdKernels, DotBitIdenticalAcrossAllLevels) {
-  // The pairwise-accumulation contract: lane k sums indices ≡ k (mod 4)
-  // ascending, combined (s0+s1)+(s2+s3) — EXPECT_EQ, not near.
-  Rng rng(0x5EED);
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
-        std::size_t{4}, std::size_t{5}, std::size_t{7}, std::size_t{8},
-        std::size_t{15}, std::size_t{16}, std::size_t{17}, std::size_t{64},
-        std::size_t{67}, std::size_t{256}}) {
-    std::vector<double> a(n), b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = rng.normal(0.0, 3.0);
-      b[i] = rng.normal(0.0, 3.0);
-    }
-    const double ref =
-        kernels::set_for(simd::Level::kScalar).dot(a.data(), b.data(), n);
-    for (const simd::Level level : supported_levels()) {
-      EXPECT_EQ(kernels::set_for(level).dot(a.data(), b.data(), n), ref)
-          << "n=" << n << " level=" << simd::to_string(level);
-    }
-  }
-}
-
-TEST(SimdKernels, AxpyBitIdenticalAcrossAllLevels) {
-  Rng rng(0xA1FA);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{6}, std::size_t{8},
-                              std::size_t{33}, std::size_t{128}}) {
-    std::vector<double> x(n), y0(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = rng.normal(0.0, 2.0);
-      y0[i] = rng.normal(0.0, 2.0);
-    }
-    std::vector<double> ref = y0;
-    kernels::set_for(simd::Level::kScalar)
-        .axpy(ref.data(), 1.7, x.data(), n);
-    for (const simd::Level level : supported_levels()) {
-      std::vector<double> y = y0;
-      kernels::set_for(level).axpy(y.data(), 1.7, x.data(), n);
-      EXPECT_EQ(y, ref) << "n=" << n << " level=" << simd::to_string(level);
-    }
   }
 }
 
@@ -148,77 +75,116 @@ TEST(SimdKernels, TrainPlanPinsTheDocumented9551Layout) {
   EXPECT_EQ(plan.layers[2].tail, 1u);
 }
 
-TEST(SimdKernels, ForwardBatchEngineMatchesReferenceWithinUlps) {
+// --- Cross-level equivalence ----------------------------------------------
+//
+// Every shape below trains and infers at kScalar and at kAvx2 from the same
+// seeds; every observable must match bit for bit. {9,5,5,1} with a ReLU
+// output runs the engine's constexpr 9-5-5-1 geometry, every other case
+// the runtime geometry; the shapes cover full lane blocks, tail rows
+// (1, 2 and 3 leftover rows), interleaved tails, and depths 2 to 4.
+
+struct Case {
+  std::vector<std::size_t> sizes;
+  bool relu_output;
+};
+
+std::vector<Case> equivalence_cases() {
+  std::vector<Case> out;
+  for (const auto& sizes : std::vector<std::vector<std::size_t>>{
+           {9, 5, 5, 1}, {4, 8, 1}, {2, 3, 3, 3, 1}, {3, 6, 1}, {5, 7, 9, 1}})
+    for (const bool relu_output : {true, false})
+      out.push_back({sizes, relu_output});
+  return out;
+}
+
+std::string describe(const Case& c) {
+  std::string out;
+  for (const std::size_t w : c.sizes) out += std::to_string(w) + "-";
+  return out + (c.relu_output ? "relu" : "linear");
+}
+
+/// Everything a caller can observe of one training run.
+struct Trace {
+  std::vector<double> losses;  ///< train_sample and train_epoch, call order
+  std::vector<double> batch;   ///< forward_batch over the probe rows
+  std::vector<double> points;  ///< predict() per probe row
+  std::string dump;            ///< to_json(): weights, ADAM moments, timestep
+  long timestep = 0;
+};
+
+/// Trains at `level`: three single samples on the fresh net (ADAM bias
+/// correction active), 48 epochs over 512 rows — enough ADAM steps on every
+/// shape (>= 2 per sample) for both corrections to saturate, so the
+/// engine's steady-state path runs too — then three more single samples,
+/// and probes inference on 61 rows (a partial last lane group).
+Trace run_at(simd::Level level, const Case& c, std::size_t seed) {
+  const simd::ScopedLevel scope(level);
+  MlpConfig cfg;
+  cfg.layer_sizes = c.sizes;
+  cfg.relu_output = c.relu_output;
+  Rng rng(seed);
+  Mlp net(cfg, rng);
+  Rng data(seed + 1);
+  stats::Matrix x(512, c.sizes.front());
+  std::vector<double> y(x.rows());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t j = 0; j < x.cols(); ++j) x(r, j) = data.normal(0.0, 1.0);
+    y[r] = data.uniform(0.5, 1.5);
+  }
+  stats::Matrix probe(61, x.cols());
+  for (std::size_t r = 0; r < probe.rows(); ++r)
+    for (std::size_t j = 0; j < probe.cols(); ++j)
+      probe(r, j) = data.normal(0.0, 2.0);
+
+  Trace t;
+  const auto one = [&](std::size_t r) {
+    t.losses.push_back(net.train_sample(x.row(r), {y[r]}));
+  };
+  for (std::size_t r = 0; r < 3; ++r) one(r);
+  Rng shuffle(seed + 2);
+  for (int e = 0; e < 48; ++e)
+    t.losses.push_back(net.train_epoch(x, y, shuffle));
+  for (std::size_t r = 3; r < 6; ++r) one(r);
+  Workspace ws;
+  t.batch = net.forward_batch(probe, ws);
+  for (std::size_t r = 0; r < probe.rows(); ++r)
+    t.points.push_back(net.predict(probe.row(r)));
+  const Json json = net.to_json();
+  t.dump = json.dump();
+  t.timestep = json.at("timestep").as_int();
+  return t;
+}
+
+TEST(SimdKernels, TrainingIsBitIdenticalAcrossLevels) {
   if (!simd::supported(simd::Level::kAvx2)) {
     GTEST_SKIP() << "CPU lacks AVX2+FMA";
   }
-  const std::vector<std::vector<std::size_t>> shapes{
-      {9, 5, 5, 1}, {4, 8, 1}, {2, 3, 3, 3, 1}};
-  for (std::size_t s = 0; s < shapes.size(); ++s) {
-    for (const bool relu_out : {true, false}) {
-      MlpConfig cfg;
-      cfg.layer_sizes = shapes[s];
-      cfg.relu_output = relu_out;
-      Rng rng(300 + 10 * s + (relu_out ? 1 : 0));
-      const Mlp net(cfg, rng);
-      Rng data(400 + s);
-      stats::Matrix x(61, shapes[s].front());  // odd count: partial group
-      for (std::size_t r = 0; r < x.rows(); ++r)
-        for (std::size_t c = 0; c < x.cols(); ++c)
-          x(r, c) = data.normal(0.0, 2.0);
-      Workspace ws;
-      std::vector<double> ref(x.rows()), fused(x.rows()),
-          again(x.rows());
-      {
-        const simd::ScopedLevel scalar(simd::Level::kScalar);
-        net.forward_batch(x, std::span<double>(ref), ws);
-      }
-      {
-        const simd::ScopedLevel avx2(simd::Level::kAvx2);
-        net.forward_batch(x, std::span<double>(fused), ws);
-        net.forward_batch(x, std::span<double>(again), ws);
-      }
-      for (std::size_t r = 0; r < x.rows(); ++r) {
-        EXPECT_TRUE(near_ulps(fused[r], ref[r], 16.0))
-            << "shape " << s << " relu_out " << relu_out << " row " << r;
-        // Exact determinism: identical bits on every run.
-        EXPECT_EQ(fused[r], again[r]) << "row " << r;
-      }
-    }
+  std::size_t seed = 500;
+  for (const Case& c : equivalence_cases()) {
+    const Trace scalar = run_at(simd::Level::kScalar, c, seed);
+    const Trace avx2 = run_at(simd::Level::kAvx2, c, seed);
+    seed += 10;
+    // 1 - 0.999^t rounds to exactly 1.0 from t ~ 37400 on: past that the
+    // engine runs its steady-state (fast) schedule.
+    EXPECT_GT(scalar.timestep, 37500) << describe(c);
+    EXPECT_EQ(scalar.losses, avx2.losses) << describe(c);
+    EXPECT_EQ(scalar.dump, avx2.dump) << describe(c);
   }
 }
 
-TEST(SimdKernels, TrainEpochEngineDeterministicAndCloseToReference) {
+TEST(SimdKernels, InferenceIsBitIdenticalAcrossLevels) {
   if (!simd::supported(simd::Level::kAvx2)) {
     GTEST_SKIP() << "CPU lacks AVX2+FMA";
   }
-  const std::size_t n = 512;
-  Rng data_rng(0xF00D);
-  stats::Matrix x(n, 9);
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < 9; ++j) x(i, j) = data_rng.normal(0.0, 1.0);
-    y[i] = data_rng.uniform(0.5, 1.5);
-  }
-  auto losses_at = [&](simd::Level level) {
-    const simd::ScopedLevel scope(level);
-    Rng rng(0xBEEF);
-    Mlp net(MlpConfig{}, rng);
-    Rng shuffle(0xCAFE);
-    std::vector<double> losses;
-    for (int e = 0; e < 4; ++e) losses.push_back(net.train_epoch(x, y, shuffle));
-    return losses;
-  };
-  const auto ref = losses_at(simd::Level::kScalar);
-  const auto fused = losses_at(simd::Level::kAvx2);
-  const auto fused_again = losses_at(simd::Level::kAvx2);
-  // Exact run-to-run reproducibility of the fused trajectory...
-  EXPECT_EQ(fused, fused_again);
-  // ...that stays within FMA-contraction distance of the reference. The
-  // bound is loose-ish (drift compounds over 2048 ADAM steps) but far
-  // below anything a logic bug would produce.
-  for (std::size_t e = 0; e < ref.size(); ++e) {
-    EXPECT_TRUE(near_ulps(fused[e], ref[e], 4096.0)) << "epoch " << e;
+  std::size_t seed = 700;
+  for (const Case& c : equivalence_cases()) {
+    const Trace scalar = run_at(simd::Level::kScalar, c, seed);
+    const Trace avx2 = run_at(simd::Level::kAvx2, c, seed);
+    seed += 10;
+    EXPECT_EQ(scalar.batch, avx2.batch) << describe(c);
+    EXPECT_EQ(scalar.points, avx2.points) << describe(c);
+    // predict() is a one-row lane group: the batched bits, row by row.
+    EXPECT_EQ(scalar.points, scalar.batch) << describe(c);
   }
 }
 

@@ -398,7 +398,7 @@ void check_include_layering(const Source& src, const std::string& path,
 // --------------------------------------------------------------------------
 void check_raw_intrinsics(const Source& src, const std::string& path,
                           std::vector<Diagnostic>& out) {
-  // simd.hpp is the sanctioned intrinsics site: it owns the V4/V2x2
+  // simd.hpp is the sanctioned intrinsics site: it owns the V4/VS
   // wrappers, the target attributes, and the rounding-order contract the
   // kernel tests pin. Everywhere else must speak through those wrappers
   // so a new instruction set is one file, not a grep.
@@ -456,7 +456,7 @@ void check_raw_intrinsics(const Source& src, const std::string& path,
       emit(out, src, path, i, "raw-intrinsics",
            "'" + token +
                "' is a raw x86 intrinsic outside src/common/simd.hpp; use "
-               "the V4/V2x2 wrappers (or add the missing operation there) "
+               "the V4 wrappers (or add the missing operation there) "
                "so dispatch, the scalar fallback, and the determinism "
                "contract stay in one audited file");
     i = e;
