@@ -1,13 +1,16 @@
 // Reproduces paper Table V: the optimal static configuration (OpenMP
 // threads, core frequency, uncore frequency) of the five evaluation
 // benchmarks, found by exhaustively running each at every configuration and
-// keeping the minimum-energy one. Thin shim over api::Session, which owns
-// the node, the measurement store, and the jobs policy.
+// keeping the minimum-energy one. One static search runs the five
+// benchmarks in sequence on a copy of the api::Session's tuning node, with
+// the session's search options, measurement store and jobs policy.
 #include <iostream>
 
 #include "api/session.hpp"
+#include "baseline/static_tuner.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
+#include "ptf/objectives.hpp"
 
 using namespace ecotune;
 
@@ -35,13 +38,20 @@ int main(int argc, char** argv) {
                             {"BEM4I", 24, 2.30, 1.90},
                             {"Mcbenchmark", 20, 1.60, 2.50}};
 
+  hwsim::NodeSimulator node = session->tuning_node().clone();
+  baseline::StaticTunerOptions search_opts = session->config().static_search();
+  search_opts.jobs = session->jobs();
+  search_opts.store = &session->store();
+  baseline::StaticTuner search(node, search_opts);
+  const auto objective = ptf::make_objective(session->config().objective());
+
   TextTable table("Table V: obtained optimal static configuration");
   table.header({"Benchmark", "thr", "CF", "UCF", "paper thr", "paper CF",
                 "paper UCF", "runs"});
   std::size_t i = 0;
   for (const auto& name : workload::BenchmarkSuite::evaluation_names()) {
     const auto result =
-        session->tune_static(workload::BenchmarkSuite::by_name(name));
+        search.tune(workload::BenchmarkSuite::by_name(name), *objective);
     table.row({name, std::to_string(result.best.threads),
                TextTable::num(result.best.core.as_ghz(), 2),
                TextTable::num(result.best.uncore.as_ghz(), 2),

@@ -58,7 +58,9 @@ int main(int argc, char** argv) {
   std::cout << "Training the final energy model...\n";
   session->train_model();
 
-  hwsim::NodeSimulator& node = session->tuning_node();
+  // The plugin and then the exhaustive baseline measure in sequence on one
+  // copy of the tuning node.
+  hwsim::NodeSimulator node = session->tuning_node().clone();
   const auto& spec = node.spec();
 
   TextTable table("Tuning time: ours vs exhaustive (Mcbenchmark workload)");
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Our plugin -------------------------------------------------------
-  const core::DtaResult dta = session->run_dta(app).result;
+  const core::DtaResult dta = session->run_dta(app, node).result;
   const int ours_experiments =
       dta.thread_scenarios + dta.analysis_runs + dta.frequency_scenarios;
   const double ours_time = dta.tuning_time.value();

@@ -85,16 +85,17 @@ int main() {
     std::cout << "  " << region << " -> " << to_string(config) << '\n';
 
   // Validate against the ground-truth static optimum (exhaustive search on
-  // the same session node).
+  // the same session's tuning node).
   const auto truth = session.tune_static(app);
   std::cout << "\nground-truth static optimum: " << to_string(truth.best)
             << "\nplugin phase selection     : "
             << to_string(result.phase_best) << '\n';
 
-  // How much energy does the plugin's choice leave on the table?
+  // How much energy does the plugin's choice leave on the table? Measured
+  // on a private copy of the session's tuning node.
+  hwsim::NodeSimulator node = session.tuning_node().clone();
   const auto at = [&](const SystemConfig& c) {
-    return instr::run_uninstrumented(app.with_iterations(3),
-                                     session.tuning_node(), c)
+    return instr::run_uninstrumented(app.with_iterations(3), node, c)
         .node_energy.value();
   };
   const double regret =

@@ -31,8 +31,9 @@ int main() {
 
   const auto app = workload::BenchmarkSuite::by_name("Mcb").with_iterations(10);
 
-  // Show the two 1-D slices through the energy surface at 20 threads.
-  auto& node = session.tuning_node();
+  // Show the two 1-D slices through the energy surface at 20 threads,
+  // measured on a private copy of the session's tuning node.
+  hwsim::NodeSimulator node = session.tuning_node().clone();
   std::cout << "\nnode energy vs core frequency (UCF = 2.5 GHz, 20 thr):\n";
   for (int mhz = 1200; mhz <= 2500; mhz += 300) {
     const auto e = instr::run_uninstrumented(

@@ -1,13 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "baseline/exhaustive_tuner.hpp"
 #include "baseline/static_tuner.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
@@ -25,9 +23,9 @@ namespace ecotune::api {
 
 /// Builder-style configuration of a Session. Every knob has the canonical
 /// default the drivers shipped with (paper-faithful acquisition grid,
-/// jitter 0.002, 10 training epochs, energy objective, radius-1
-/// verification), so `Session(SessionConfig{})` reproduces the quickstart
-/// stack; chained setters override individual knobs:
+/// 10 training epochs, energy objective, radius-1 verification), so
+/// `Session(SessionConfig{})` reproduces the quickstart stack; chained
+/// setters override individual knobs:
 ///
 ///   api::Session session(api::SessionConfig{}
 ///       .seed(42).jobs(8).cache(dir, "rw").objective("energy"));
@@ -54,18 +52,9 @@ class SessionConfig {
     tuning_seed_ = s;
     return *this;
   }
-  /// Cluster node ids (default: train on node 0, tune on node 1).
-  SessionConfig& train_node_id(int id) {
-    train_node_id_ = id;
-    return *this;
-  }
+  /// Cluster id of the tuning node (default 1; the training node is 0).
   SessionConfig& tuning_node_id(int id) {
     tuning_node_id_ = id;
-    return *this;
-  }
-  /// Relative run-to-run jitter of both simulated nodes (default 0.002).
-  SessionConfig& jitter(double relative_stddev) {
-    jitter_ = relative_stddev;
     return *this;
   }
   /// Parallel workers for sweeps, training, and campaigns (0 = hardware
@@ -129,24 +118,9 @@ class SessionConfig {
     static_search_ = std::move(opts);
     return *this;
   }
-  /// Base exhaustive-search options; the session overrides jobs and store.
-  SessionConfig& exhaustive_search(baseline::ExhaustiveTunerOptions opts) {
-    exhaustive_search_ = std::move(opts);
-    return *this;
-  }
   /// Q-learning hyperparameters; the session overrides the store.
   SessionConfig& qlearn(tuners::QLearningOptions opts) {
     qlearn_ = std::move(opts);
-    return *this;
-  }
-  /// Governor-baseline tunables; the session overrides the store.
-  SessionConfig& governor(tuners::GovernorOptions opts) {
-    governor_ = opts;
-    return *this;
-  }
-  /// Simulated CPU (default: the paper's Haswell-EP).
-  SessionConfig& spec(hwsim::CpuSpec cpu_spec) {
-    spec_ = std::move(cpu_spec);
     return *this;
   }
   /// In-memory shard count of the measurement store's index (0 = the
@@ -161,9 +135,7 @@ class SessionConfig {
   // Read accessors (used by Session; public so shims can introspect).
   [[nodiscard]] std::uint64_t train_seed() const { return train_seed_; }
   [[nodiscard]] std::uint64_t tuning_seed() const { return tuning_seed_; }
-  [[nodiscard]] int train_node_id() const { return train_node_id_; }
   [[nodiscard]] int tuning_node_id() const { return tuning_node_id_; }
-  [[nodiscard]] double jitter() const { return jitter_; }
   [[nodiscard]] int jobs() const { return jobs_; }
   [[nodiscard]] const std::string& cache_dir() const { return cache_dir_; }
   [[nodiscard]] const std::string& cache_mode() const { return cache_mode_; }
@@ -182,25 +154,17 @@ class SessionConfig {
   [[nodiscard]] const baseline::StaticTunerOptions& static_search() const {
     return static_search_;
   }
-  [[nodiscard]] const baseline::ExhaustiveTunerOptions& exhaustive_search()
-      const {
-    return exhaustive_search_;
-  }
   [[nodiscard]] const tuners::QLearningOptions& qlearn() const {
     return qlearn_;
   }
-  [[nodiscard]] const tuners::GovernorOptions& governor() const {
-    return governor_;
-  }
+  /// The simulated CPU: always the paper's Haswell-EP.
   [[nodiscard]] const hwsim::CpuSpec& spec() const { return spec_; }
   [[nodiscard]] std::size_t store_shards() const { return store_shards_; }
 
  private:
   std::uint64_t train_seed_ = 42;
   std::uint64_t tuning_seed_ = 43;
-  int train_node_id_ = 0;
   int tuning_node_id_ = 1;
-  double jitter_ = 0.002;
   int jobs_ = 0;
   std::string cache_dir_;
   std::string cache_mode_;
@@ -213,9 +177,7 @@ class SessionConfig {
   int repeats_ = 5;
   model::AcquisitionOptions acquisition_;
   baseline::StaticTunerOptions static_search_;
-  baseline::ExhaustiveTunerOptions exhaustive_search_;
   tuners::QLearningOptions qlearn_;
-  tuners::GovernorOptions governor_;
   hwsim::CpuSpec spec_ = hwsim::haswell_ep_spec();
   std::size_t store_shards_ = 0;
 };
@@ -256,10 +218,26 @@ struct SavingsReport {
 ///   auto report = session.run_dta("Lulesh");     // full DTA
 ///   api::TextReportSink(std::cout).dta(report);  // render
 ///
-/// All entry points share the session's trained model (train_model() is
-/// idempotent; use_model() injects a deserialized one), its persistent
-/// nodes (sequential run_dta calls see a continuously advancing simulated
-/// clock, exactly like the hand-wired drivers), and its store.
+/// Every analysis call (run_dta, run_dta_campaign, tune, tune_static,
+/// evaluate_savings) is a pure function of the session configuration, the
+/// trained model, its arguments and a key. It runs on a private clone of
+/// the tuning node whose noise stream is forked by the key, and its store
+/// entries are namespaced by the key. The tuning node itself never
+/// advances, so equal calls return equal bytes in any order, from any
+/// thread, and after a warm restart (whole results replay from the store).
+/// Key-less overloads derive the key from their arguments. A driver that
+/// reproduces one experiment sequence on one node instead passes its own
+/// tuning_node().clone() to run_dta(app, node); the sequence state lives in
+/// that node.
+///
+/// A keyed call is one unit of a larger concurrent workload (a daemon
+/// request) and runs its engine on one worker; a key-less call is a lone
+/// driver call and uses jobs() workers. Outputs are jobs-invariant.
+///
+/// Thread safety: the analysis calls and train_model() may run on many
+/// threads at once (the first train_model() trains, concurrent callers wait
+/// for it). use_model() and acquire_dataset() must not overlap any other
+/// call: acquisition advances the training node.
 class Session {
  public:
   /// Opens the measurement store eagerly; throws ecotune::Error on an
@@ -277,13 +255,14 @@ class Session {
   /// With the store enabled, the fitted model is the `model` store
   /// entry, keyed by the dataset, the model configuration and the epoch
   /// count: a warm session loads it instead of training.
-  const model::EnergyModel& train_model();
+  const model::EnergyModel& train_model() ECOTUNE_EXCLUDES(model_mutex_);
   /// Injects an already-trained model (e.g. deserialized from disk),
   /// skipping acquisition and training entirely.
-  void use_model(model::EnergyModel model);
-  [[nodiscard]] bool has_model() const { return model_.has_value(); }
+  void use_model(model::EnergyModel model) ECOTUNE_EXCLUDES(model_mutex_);
+  [[nodiscard]] bool has_model() const ECOTUNE_EXCLUDES(model_mutex_);
   /// The session's trained model; throws PreconditionError if none yet.
-  [[nodiscard]] const model::EnergyModel& model() const;
+  [[nodiscard]] const model::EnergyModel& model() const
+      ECOTUNE_EXCLUDES(model_mutex_);
 
   /// Acquires a dataset on the training node: the final training split by
   /// default, or any explicit benchmark list (e.g. the full Table II suite
@@ -294,102 +273,61 @@ class Session {
 
   // -- Design-time analysis (paper Fig. 1 / Sec. III). --------------------
 
-  /// Runs the full DTA for one benchmark on the session's tuning node,
-  /// training the model first if needed.
+  /// Runs the full DTA for `app` on tuning_node().clone(key), training the
+  /// model first if needed. The whole report is one store entry.
+  DtaReport run_dta(const workload::Benchmark& app, const std::string& key);
+  /// run_dta(app, "dta-" + app.name()).
   DtaReport run_dta(const workload::Benchmark& app);
   DtaReport run_dta(const std::string& benchmark_name);
+  /// Runs the full DTA for `app` on the caller's `node` (advancing its clock
+  /// and noise stream) with jobs() engine workers, and caches nothing but
+  /// the engine's own per-chunk entries. For drivers that reproduce one
+  /// experiment sequence on one node, like the paper's Tables III and IV:
+  /// they pass the same tuning_node().clone() to each call, so the sequence
+  /// lives in their node and not in the Session.
+  DtaReport run_dta(const workload::Benchmark& app, hwsim::NodeSimulator& node);
 
   /// Runs the DTA for several benchmarks as one campaign: the model is
-  /// trained once and every benchmark is analyzed concurrently on its own
-  /// node clone (noise keyed by campaign slot, so the report is bitwise
-  /// identical for any jobs value). Warm campaigns replay whole DTAs from
-  /// the measurement store.
+  /// trained once and row i is run_dta(apps[i], "campaign-0-<i>-<name>"),
+  /// the rows running concurrently.
   CampaignReport run_dta_campaign(const std::vector<workload::Benchmark>& apps);
   CampaignReport run_dta_campaign(const std::vector<std::string>& names);
 
   // -- Tuning strategies behind the common Tuner seam. --------------------
 
-  /// Runs the named strategy (any default_registry() name: exhaustive,
-  /// static, dta, qlearn, ondemand, conservative) on the session's tuning
-  /// node under the session's objective. Strategy instances persist for
-  /// the session, so sequential calls decorrelate exactly like the
-  /// hand-wired stacks; "dta" trains the model on first use.
-  /// Throws ConfigError (with the registered-name list) on unknown names.
+  /// Runs a fresh instance of the named strategy (any default_registry()
+  /// name: exhaustive, static, dta, qlearn, ondemand, conservative) on
+  /// tuning_node().clone(key). Empty `objective` means the session's;
+  /// "dta" trains the model on first use. Throws ConfigError (with the
+  /// registered-name list) on unknown names.
+  TuningOutcome tune(const std::string& tuner_name,
+                     const workload::Benchmark& app,
+                     const std::string& objective, const std::string& key);
+  /// Key "tune-<tuner>-<objective>-<app name>".
+  TuningOutcome tune(const std::string& tuner_name,
+                     const workload::Benchmark& app,
+                     const std::string& objective);
+  /// Under the session's objective.
   TuningOutcome tune(const std::string& tuner_name,
                      const workload::Benchmark& app);
   TuningOutcome tune(const std::string& tuner_name,
                      const std::string& benchmark_name);
-  /// tune() under an explicit objective name (overrides the session's).
-  TuningOutcome tune(const std::string& tuner_name,
-                     const workload::Benchmark& app,
-                     const std::string& objective);
-
-  /// The session's persistent instance of the named strategy (created on
-  /// first use from tuners::default_registry()). The cache map itself is
-  /// mutex-guarded so concurrent lookups cannot race the lazy emplace;
-  /// the returned Tuner is NOT internally synchronized -- drive one
-  /// strategy instance from one thread at a time.
-  [[nodiscard]] Tuner& tuner(const std::string& tuner_name)
-      ECOTUNE_EXCLUDES(tuners_mutex_);
 
   // -- Evaluation baselines (paper Sec. V-D). -----------------------------
 
-  /// Exhaustive static search on the tuning node under the session's
-  /// configured objective. Thin delegate over tuner("static"): one
-  /// persistent tuner backs all calls, so sequential searches decorrelate
-  /// exactly like the hand-wired drivers'.
+  /// Exhaustive static search (Table V): tune("static", app) unwrapped to
+  /// the rich result.
   baseline::StaticTuningResult tune_static(const workload::Benchmark& app);
-  /// tune_static under an explicit objective (overrides the session's).
-  baseline::StaticTuningResult tune_static(
-      const workload::Benchmark& app, const ptf::TuningObjective& objective);
 
   /// Static-vs-dynamic savings (Table VI protocol); trains first if needed.
+  /// Row i is evaluated under the key "savings-0-<i>-<name>", the rows
+  /// running concurrently.
   SavingsReport evaluate_savings(const std::vector<workload::Benchmark>& apps);
+  /// The savings row for `app` on tuning_node().clone(key).
+  core::SavingsRow evaluate_savings(const workload::Benchmark& app,
+                                    const std::string& key);
+  /// evaluate_savings({app}).rows.front().
   core::SavingsRow evaluate_savings(const workload::Benchmark& app);
-
-  // -- Multi-tenant service entry points (tools/ecotune_serve). -----------
-  //
-  // The _shared calls below are pure functions of (session config,
-  // request_key, request): they never advance the session's base node or
-  // any per-session counter, so many threads may call them concurrently on
-  // one Session and every response is bitwise identical to the same request
-  // served serially, in any order. Each request runs on a private clone of
-  // the tuning node whose noise stream is keyed by the request key
-  // (NodeSimulator::clone / Rng::fork), and all measurement-store task keys
-  // are namespaced by the request key so concurrent requests against the
-  // same benchmark cannot collide.
-
-  /// Eagerly constructs both simulated nodes and trains the energy model so
-  /// the shared entry points never race lazy initialization. Idempotent;
-  /// call it once, single-threaded, before serving concurrent traffic.
-  void warmup();
-  /// True once warmup() (or equivalent eager use) has completed.
-  [[nodiscard]] bool warmed_up() const {
-    return tuning_node_.has_value() && model_.has_value();
-  }
-
-  /// Full DTA for `app` on a request-keyed clone. Whole reports replay
-  /// from the measurement store on a warm restart (zero engine misses).
-  /// Requires warmup(); throws PreconditionError otherwise.
-  DtaReport run_dta_shared(const workload::Benchmark& app,
-                           const std::string& request_key);
-  DtaReport run_dta_shared(const std::string& benchmark_name,
-                           const std::string& request_key);
-
-  /// Runs the named strategy (any default_registry() name) on a
-  /// request-keyed clone with a fresh strategy instance, so call
-  /// decorrelation counters start at zero and the outcome depends only on
-  /// the request. Empty `objective` means the session's. Requires warmup()
-  /// for model-backed strategies ("dta").
-  TuningOutcome tune_shared(const std::string& tuner_name,
-                            const workload::Benchmark& app,
-                            const std::string& objective,
-                            const std::string& request_key);
-
-  /// Table VI savings row for `app` on a request-keyed clone; whole rows
-  /// replay from the store on a warm restart. Requires warmup().
-  core::SavingsRow evaluate_savings_shared(const workload::Benchmark& app,
-                                           const std::string& request_key);
 
   // -- Owned infrastructure. ----------------------------------------------
 
@@ -397,9 +335,11 @@ class Session {
   [[nodiscard]] int jobs() const { return jobs_; }
   [[nodiscard]] store::MeasurementStore& store() { return store_; }
   [[nodiscard]] const SessionConfig& config() const { return config_; }
-  /// The persistent simulated nodes (constructed lazily on first use).
-  [[nodiscard]] hwsim::NodeSimulator& training_node();
-  [[nodiscard]] hwsim::NodeSimulator& tuning_node();
+  /// The tuning node every analysis call clones. Callers that want to
+  /// measure on it take their own clone().
+  [[nodiscard]] const hwsim::NodeSimulator& tuning_node() const {
+    return tuning_node_;
+  }
 
   /// Prints the store's hit/miss summary to stderr when it is enabled.
   /// Stderr, not stdout: driver stdout must stay byte-identical between
@@ -407,25 +347,24 @@ class Session {
   void print_store_summary() const;
 
  private:
-  [[nodiscard]] core::DvfsUfsPlugin::Options plugin_options();
-  [[nodiscard]] tuners::TunerContext tuner_context();
+  [[nodiscard]] DtaReport dta_row(const workload::Benchmark& app,
+                                  const std::string& key, int jobs);
+  /// Builds a fresh `tuner_name` strategy on tuning_node().clone(key) and
+  /// returns run(strategy).
+  template <class Run>
+  auto with_tuner(const std::string& tuner_name, const std::string& key,
+                  int jobs, Run&& run);
+  [[nodiscard]] core::SavingsEvaluator savings_evaluator();
+  [[nodiscard]] core::DvfsUfsPlugin::Options plugin_options(
+      int jobs, const std::string& key_scope = {});
 
   SessionConfig config_;
   int jobs_;
   store::MeasurementStore store_;
-  std::optional<hwsim::NodeSimulator> training_node_;
-  std::optional<hwsim::NodeSimulator> tuning_node_;
-  std::optional<model::EnergyModel> model_;
-  /// Persistent per-strategy instances (tune-call decorrelation counters
-  /// live on the tuner objects, so caching them preserves the hand-wired
-  /// drivers' noise schedule across repeated calls). Guarded: tuner() is
-  /// reachable from parallel campaign tasks, and a racing find/emplace on
-  /// the map would be undefined behavior.
-  Mutex tuners_mutex_;
-  std::map<std::string, std::unique_ptr<Tuner>> tuners_
-      ECOTUNE_GUARDED_BY(tuners_mutex_);
-  std::optional<core::SavingsEvaluator> savings_evaluator_;
-  long campaign_calls_ = 0;  ///< decorrelates campaigns on one session
+  hwsim::NodeSimulator training_node_;
+  hwsim::NodeSimulator tuning_node_;
+  mutable Mutex model_mutex_;
+  std::optional<model::EnergyModel> model_ ECOTUNE_GUARDED_BY(model_mutex_);
 };
 
 /// The one shared CLI store-open error path: constructs the Session and

@@ -1,16 +1,16 @@
 #include "core/evaluation.hpp"
 
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "energymon/rapl.hpp"
 #include "energymon/sacct.hpp"
 #include "instr/scorep_runtime.hpp"
 #include "readex/rrl.hpp"
-#include "store/measurement_store.hpp"
+#include "store/cached_row.hpp"
 
 namespace ecotune::core {
 
@@ -121,22 +121,11 @@ SavingsRow SavingsEvaluator::evaluate(const workload::Benchmark& app) {
   return row;
 }
 
-std::vector<SavingsRow> SavingsEvaluator::evaluate_all(
-    const std::vector<workload::Benchmark>& apps) {
-  const long call_tag = evaluate_calls_++;
-  struct RowOutcome {
-    SavingsRow row;
-    Seconds elapsed{0};
-  };
-  // Whole-row caching; api::Session::run_dta_campaign mirrors this exact
-  // machinery for whole-DTA rows. A change to either copy's cache
-  // invariants (new fingerprint field, fallback policy) belongs in both.
-  store::MeasurementStore* cache =
-      options_.store != nullptr && options_.store->enabled() ? options_.store
-                                                             : nullptr;
-  Fingerprint base_fp;
-  if (cache != nullptr) {
-    base_fp.add_digest("node", node_.state_fingerprint())
+SavingsRow SavingsEvaluator::evaluate_keyed(
+    const workload::Benchmark& app, const std::string& noise_key) const {
+  const auto fingerprint = [&] {
+    Fingerprint fp;
+    fp.add_digest("node", node_.state_fingerprint())
         .add("repeats", options_.repeats)
         .add("plugin_config", options_.plugin.config.to_json().dump(-1))
         .add("engine.iterations_per_scenario",
@@ -152,61 +141,36 @@ std::vector<SavingsRow> SavingsEvaluator::evaluate_all(
         // so its full weight state is part of the row identity.
         .add("model", energy_model_.canonical_json());
     for (int t : options_.static_search.thread_counts)
-      base_fp.add("static.thread_count", t);
-  }
-  auto outcomes = parallel_map_ordered(
-      apps.size(),
-      [&](std::size_t i) {
-        const std::string noise_key = "savings-" + std::to_string(call_tag) +
-                                      "-" + std::to_string(i) + "-" +
-                                      apps[i].name();
-        store::MeasurementKey cache_key;
-        if (cache != nullptr) {
-          Fingerprint fp = base_fp;
-          fp.add("noise_key", noise_key)
-              .add_digest("app", apps[i].fingerprint_digest());
-          cache_key.task = "savings/" + noise_key;
-          cache_key.fingerprint = fp.digest();
-          if (const auto hit = cache->lookup(cache_key)) {
-            try {
-              RowOutcome out;
-              out.row = SavingsRow::from_json(hit->at("row"));
-              out.elapsed = Seconds(hit->at("elapsed").as_number());
-              return out;
-            } catch (const std::exception& e) {
-              log::error("store")
-                  << "undecodable cache payload for '" << cache_key.task
-                  << "' (" << e.what() << "); re-evaluating";
-            }
-          }
-        }
-
+      fp.add("static.thread_count", t);
+    fp.add("noise_key", noise_key).add_digest("app", app.fingerprint_digest());
+    return fp.digest();
+  };
+  return store::cached_row<SavingsRow>(
+      options_.store, "savings/" + noise_key, "row", fingerprint, [&] {
         hwsim::NodeSimulator node = node_.clone(noise_key);
         const Seconds t0 = node.now();
-        SavingsEvaluator row_evaluator(node, energy_model_, options_);
-        RowOutcome out;
-        out.row = row_evaluator.evaluate(apps[i]);
-        out.elapsed = node.now() - t0;
+        SavingsOptions row_options = options_;
+        // Concurrent rows over one benchmark must not collide on the inner
+        // static-search and DTA-engine task ids.
+        row_options.static_search.key_scope = noise_key;
+        row_options.plugin.engine.key_scope = noise_key;
+        SavingsRow row =
+            SavingsEvaluator(node, energy_model_, row_options).evaluate(app);
+        return std::pair{std::move(row), node.now() - t0};
+      });
+}
 
-        if (cache != nullptr) {
-          Json payload = Json::object();
-          payload["row"] = out.row.to_json();
-          payload["elapsed"] = out.elapsed.value();
-          cache->insert(cache_key, payload);
-        }
-        return out;
+std::vector<SavingsRow> SavingsEvaluator::evaluate_all(
+    const std::vector<workload::Benchmark>& apps) const {
+  // The "0" is the slot of a retired per-evaluator call counter, kept so
+  // stores written with it stay valid.
+  return parallel_map_ordered(
+      apps.size(),
+      [&](std::size_t i) {
+        return evaluate_keyed(apps[i], "savings-0-" + std::to_string(i) +
+                                           "-" + apps[i].name());
       },
       options_.jobs);
-
-  std::vector<SavingsRow> rows;
-  rows.reserve(outcomes.size());
-  Seconds total{0};
-  for (auto& out : outcomes) {
-    rows.push_back(std::move(out.row));
-    total += out.elapsed;
-  }
-  node_.idle(total);
-  return rows;
 }
 
 }  // namespace ecotune::core

@@ -56,7 +56,7 @@ struct SavingsOptions {
   /// clone (1 = serial, 0 = hardware concurrency). Row output is identical
   /// for any value.
   int jobs = 1;
-  /// Optional persistent measurement store (not owned). evaluate_all()
+  /// Optional persistent measurement store (not owned). evaluate_keyed()
   /// answers whole benchmark rows from a previous session when benchmark,
   /// protocol options, trained model, and node-state fingerprint match; the
   /// constructor also threads the store into the inner static search and
@@ -77,13 +77,22 @@ class SavingsEvaluator {
                    const model::EnergyModel& energy_model,
                    SavingsOptions options = {});
 
+  /// Runs the protocol for `app` on the node itself, advancing its clock.
   [[nodiscard]] SavingsRow evaluate(const workload::Benchmark& app);
 
-  /// Evaluates one row per benchmark, rows concurrently on per-row node
-  /// clones whose noise streams are keyed by (row index, benchmark name).
+  /// Runs the protocol for `app` on a clone of the node whose noise stream
+  /// is forked by `noise_key`, with the inner store entries namespaced by
+  /// it. The whole row is one store entry. Never touches the node itself,
+  /// so the row is a pure function of (node state, options, model, app,
+  /// key).
+  [[nodiscard]] SavingsRow evaluate_keyed(const workload::Benchmark& app,
+                                          const std::string& noise_key) const;
+
+  /// Evaluates one row per benchmark, row i being
+  /// evaluate_keyed(apps[i], "savings-0-<i>-<name>"), rows concurrently.
   /// Row order matches `apps`; output is identical for any `jobs` value.
   [[nodiscard]] std::vector<SavingsRow> evaluate_all(
-      const std::vector<workload::Benchmark>& apps);
+      const std::vector<workload::Benchmark>& apps) const;
 
  private:
   struct Measured {
@@ -98,7 +107,6 @@ class SavingsEvaluator {
   hwsim::NodeSimulator& node_;
   const model::EnergyModel& energy_model_;
   SavingsOptions options_;
-  long evaluate_calls_ = 0;  ///< decorrelates rows across evaluate_all()s
 };
 
 }  // namespace ecotune::core

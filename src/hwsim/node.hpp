@@ -13,8 +13,8 @@
 
 namespace ecotune::hwsim {
 
-/// Observer of the node's simulated power timeline. Energy monitors (HDEEM,
-/// RAPL) subscribe to receive constant-power segments as simulated wall time
+/// Observer of the node's simulated power timeline. Energy monitors (RAPL,
+/// sacct) subscribe to receive constant-power segments as simulated wall time
 /// advances, and reconstruct measured energy with their own sampling
 /// artifacts.
 class PowerListener {

@@ -59,10 +59,8 @@ TuningService::TuningService(ServiceConfig config)
         if (sc.scope().empty()) sc.scope("serve");
         return sc;
       }()) {
-  // Train the shared model and build both nodes before any concurrent
-  // handle(): the _shared entry points require (and assume) a warmed-up
-  // session.
-  session_.warmup();
+  // Train before the first request, so no request pays for training.
+  session_.train_model();
 }
 
 std::string TuningService::request_key(const RpcRequest& req) {
@@ -156,14 +154,15 @@ Json TuningService::dispatch(const RpcRequest& req) {
     if (params.contains("objective"))
       objective = params.at("objective").as_string();
     const TuningOutcome outcome =
-        session_.tune_shared(tuner, workload::BenchmarkSuite::by_name(benchmark),
-                             objective, request_key(req));
+        session_.tune(tuner, workload::BenchmarkSuite::by_name(benchmark),
+                      objective, "serve-" + request_key(req));
     return outcome.to_json();
   }
   if (req.method == "dta") {
     const std::string& benchmark = required_string(params, "benchmark");
     const api::DtaReport report =
-        session_.run_dta_shared(benchmark, request_key(req));
+        session_.run_dta(workload::BenchmarkSuite::by_name(benchmark),
+                         "serve-" + request_key(req));
     // The PR 5 report-document shape (api::JsonReportSink): one daemon
     // response is one single-report document.
     Json doc = Json::object();
@@ -175,8 +174,9 @@ Json TuningService::dispatch(const RpcRequest& req) {
   }
   if (req.method == "evaluate") {
     const std::string& benchmark = required_string(params, "benchmark");
-    const core::SavingsRow row = session_.evaluate_savings_shared(
-        workload::BenchmarkSuite::by_name(benchmark), request_key(req));
+    const core::SavingsRow row = session_.evaluate_savings(
+        workload::BenchmarkSuite::by_name(benchmark),
+        "serve-" + request_key(req));
     Json j = Json::object();
     j["row"] = row.to_json();
     return j;

@@ -33,14 +33,14 @@ struct ServiceConfig {
 };
 
 /// The transport-independent core of ecotune_serve: owns the shared
-/// api::Session (warmup() runs in the constructor, so the model trains
-/// exactly once, before any concurrency) and dispatches one decoded
-/// request frame per handle() call.
+/// api::Session (the constructor trains its model, so the model trains
+/// exactly once, before any request) and dispatches one decoded request
+/// frame per handle() call.
 ///
 /// Concurrency & determinism contract: handle() is safe to call from many
-/// threads at once. Every compute method runs on a private request-keyed
-/// clone of the session's tuning node (Session::*_shared), and the request
-/// key is derived purely from (tenant, method, params) -- so a response is
+/// threads at once. Every compute method is a keyed Session call under the
+/// key "serve-<request key>", and the request key is derived purely from
+/// (tenant, method, params) -- so a response is
 /// a pure function of the request and the service configuration, bitwise
 /// identical whether it is served concurrently, serially, or after a
 /// restart (warm restarts replay whole results from the measurement

@@ -13,22 +13,12 @@ DtaTuner::DtaTuner(hwsim::NodeSimulator& node, ModelProvider model,
   ensure(static_cast<bool>(model_), "DtaTuner: null model provider");
 }
 
-core::DtaResult DtaTuner::run_with(const workload::Benchmark& app,
-                                   const core::DvfsUfsPlugin::Options& options) {
-  const model::EnergyModel& trained = model_();
-  core::DvfsUfsPlugin plugin(trained, options);
-  return plugin.run_dta(app, node_);
-}
-
-core::DtaResult DtaTuner::run(const workload::Benchmark& app) {
-  return run_with(app, options_);
-}
-
 TuningOutcome DtaTuner::tune(const TuningRequest& request) {
   const auto objective = ptf::make_objective(request.objective);
   core::DvfsUfsPlugin::Options options = options_;
   options.config.objective = std::string(objective->name());
-  const core::DtaResult result = run_with(request.app, options);
+  const core::DtaResult result =
+      core::DvfsUfsPlugin(model_(), options).run_dta(request.app, node_);
 
   TuningOutcome out;
   out.tuner = std::string(name());

@@ -10,7 +10,7 @@ namespace ecotune::tuners {
 
 /// Adapter that runs the paper's model-based design-time analysis (the
 /// DvfsUfsPlugin frontend loop) behind the common Tuner seam. A fresh
-/// plugin is constructed per tune()/run() call, exactly like the hand-wired
+/// plugin is constructed per tune() call, exactly like the hand-wired
 /// drivers did, so results are bit-identical to the pre-refactor path.
 ///
 /// The trained energy model is obtained lazily through `model`, so building
@@ -26,15 +26,7 @@ class DtaTuner final : public Tuner {
   [[nodiscard]] std::string_view name() const override { return "dta"; }
   [[nodiscard]] TuningOutcome tune(const TuningRequest& request) override;
 
-  /// Full-detail DTA under the configured options (the rich result the
-  /// report sinks render); tune() is a thin mapping over this.
-  [[nodiscard]] core::DtaResult run(const workload::Benchmark& app);
-
  private:
-  [[nodiscard]] core::DtaResult run_with(
-      const workload::Benchmark& app,
-      const core::DvfsUfsPlugin::Options& options);
-
   hwsim::NodeSimulator& node_;
   ModelProvider model_;
   core::DvfsUfsPlugin::Options options_;

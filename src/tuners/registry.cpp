@@ -2,14 +2,16 @@
 
 #include <utility>
 
+#include "baseline/exhaustive_tuner.hpp"
 #include "common/error.hpp"
+#include "tuners/governor_tuner.hpp"
 
 namespace ecotune::tuners {
 namespace {
 
 std::unique_ptr<Tuner> make_governor(const TunerContext& ctx,
                                      GovernorPolicy policy) {
-  GovernorOptions opts = ctx.governor;
+  GovernorOptions opts;
   opts.store = ctx.store;
   opts.key_scope = ctx.key_scope;
   return std::make_unique<GovernorTuner>(*ctx.node, policy, opts);
@@ -58,7 +60,7 @@ const TunerRegistry& default_registry() {
   static const TunerRegistry kRegistry = [] {
     TunerRegistry r;
     r.add("exhaustive", [](const TunerContext& ctx) -> std::unique_ptr<Tuner> {
-      baseline::ExhaustiveTunerOptions opts = ctx.exhaustive_search;
+      baseline::ExhaustiveTunerOptions opts;
       opts.jobs = ctx.jobs;
       opts.store = ctx.store;
       opts.key_scope = ctx.key_scope;

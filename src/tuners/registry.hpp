@@ -6,12 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "baseline/exhaustive_tuner.hpp"
 #include "baseline/static_tuner.hpp"
 #include "core/dvfs_ufs_plugin.hpp"
 #include "ptf/tuner.hpp"
 #include "tuners/dta_tuner.hpp"
-#include "tuners/governor_tuner.hpp"
 #include "tuners/qlearning_tuner.hpp"
 
 namespace ecotune::tuners {
@@ -19,7 +17,8 @@ namespace ecotune::tuners {
 /// Everything a strategy factory may need. jobs/store are threaded into
 /// each strategy's options by the factory, mirroring how Session overrode
 /// them on the hand-wired stacks; `model` is the lazy trained-model
-/// provider only the DTA adapter consumes.
+/// provider only the DTA adapter consumes. The exhaustive and governor
+/// strategies always run with their default options.
 struct TunerContext {
   hwsim::NodeSimulator* node = nullptr;
   DtaTuner::ModelProvider model;  ///< may be empty if "dta" is never made
@@ -31,10 +30,8 @@ struct TunerContext {
   /// store entries collide on identical task ids.
   std::string key_scope;
   baseline::StaticTunerOptions static_search;
-  baseline::ExhaustiveTunerOptions exhaustive_search;
   core::DvfsUfsPlugin::Options plugin;
   QLearningOptions qlearn;
-  GovernorOptions governor;
 };
 
 /// Name -> factory map of every registered tuning strategy. Names are the

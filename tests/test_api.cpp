@@ -4,8 +4,9 @@
 //    round-trip of core::DtaResult),
 //  - the TextReportSink must render the legacy driver format byte for byte,
 //  - the JsonReportSink document must round-trip through common/json,
-//  - run_dta_campaign must be jobs-invariant and warm-restart from the
-//    measurement store with zero misses,
+//  - run_dta_campaign must be jobs-invariant, warm-restart from the
+//    measurement store with zero misses, and equal keyed run_dta calls,
+//  - keyed calls from many threads must equal the same calls made serially,
 //  - the shared strict CLI integer parsing must reject garbage.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -84,18 +86,51 @@ TEST(ApiSession, RunDtaMatchesHandWiredLegacyStack) {
   energy_model.train(acq.acquire(workload::BenchmarkSuite::training_set()),
                      1);
 
+  // A keyed Session call runs on a clone of the tuning node whose noise
+  // stream is forked by the key.
+  const std::string key = "legacy";
   hwsim::NodeSimulator node(hwsim::haswell_ep_spec(), 1, Rng(78));
   node.set_jitter(0.002);
+  hwsim::NodeSimulator keyed = node.clone(key);
   core::DvfsUfsPlugin plugin(energy_model, {});
-  const core::DtaResult legacy = plugin.run_dta(app, node);
+  const core::DtaResult legacy = plugin.run_dta(app, keyed);
 
   // The Session path, same seeds and protocol.
   api::Session session(tiny_config().jobs(1));
-  const api::DtaReport report = session.run_dta(app);
+  const api::DtaReport report = session.run_dta(app, key);
 
   // Exact JSON round trip preserves doubles bitwise, so dump equality is
   // bit-for-bit equality of the full analysis result.
   EXPECT_EQ(report.result.to_json().dump(-1), legacy.to_json().dump(-1));
+}
+
+TEST(ApiSession, RunDtaOnCallerNodeMatchesHandWiredSequence) {
+  const auto lulesh =
+      workload::BenchmarkSuite::by_name("Lulesh").with_iterations(2);
+  const auto mcb = workload::BenchmarkSuite::by_name("Mcb").with_iterations(2);
+
+  api::Session session(tiny_config().jobs(2));
+  session.use_model(tiny_model());
+  hwsim::NodeSimulator node = session.tuning_node().clone();
+  const api::DtaReport first = session.run_dta(lulesh, node);
+  const api::DtaReport second = session.run_dta(mcb, node);
+
+  // The hand-wired sequence: one plugin run after the other on one node.
+  hwsim::NodeSimulator legacy_node(hwsim::haswell_ep_spec(), 1, Rng(78));
+  legacy_node.set_jitter(0.002);
+  core::DvfsUfsPlugin::Options po;
+  po.engine.jobs = 1;
+  const core::DtaResult legacy_first =
+      core::DvfsUfsPlugin(tiny_model(), po).run_dta(lulesh, legacy_node);
+  const core::DtaResult legacy_second =
+      core::DvfsUfsPlugin(tiny_model(), po).run_dta(mcb, legacy_node);
+
+  EXPECT_EQ(first.result.to_json().dump(-1), legacy_first.to_json().dump(-1));
+  EXPECT_EQ(second.result.to_json().dump(-1),
+            legacy_second.to_json().dump(-1));
+  EXPECT_EQ(node.state_fingerprint(), legacy_node.state_fingerprint());
+  // The sequence lives in the caller's node; the session's never moves.
+  EXPECT_EQ(session.tuning_node().now().value(), 0.0);
 }
 
 TEST(ApiReport, TextSinkRendersLegacyDriverFormat) {
@@ -217,6 +252,74 @@ TEST(ApiSession, CampaignWarmRestartsFromStoreWithZeroMisses) {
   EXPECT_EQ(warm.store().stats().hits,
             static_cast<long>(apps.size()));
   std::filesystem::remove_all(dir);
+}
+
+TEST(ApiSession, CampaignRowsAreKeyedRunDtaCalls) {
+  const std::vector<workload::Benchmark> apps = {
+      workload::BenchmarkSuite::by_name("Lulesh").with_iterations(2),
+      workload::BenchmarkSuite::by_name("Mcb").with_iterations(2)};
+
+  api::Session campaign_session(tiny_config().jobs(2));
+  campaign_session.use_model(tiny_model());
+  const api::CampaignReport campaign =
+      campaign_session.run_dta_campaign(apps);
+
+  api::Session session(tiny_config().jobs(2));
+  session.use_model(tiny_model());
+  ASSERT_EQ(campaign.reports.size(), apps.size());
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const api::DtaReport row = session.run_dta(
+        apps[i], "campaign-0-" + std::to_string(i) + "-" + apps[i].name());
+    EXPECT_EQ(campaign.reports[i].to_json().dump(-1), row.to_json().dump(-1))
+        << apps[i].name();
+  }
+}
+
+TEST(ApiSession, ConcurrentKeyedCallsMatchSerial) {
+  baseline::StaticTunerOptions coarse;
+  coarse.thread_counts = {24};
+  coarse.cf_stride = 4;
+  coarse.ucf_stride = 4;
+  const api::SessionConfig config =
+      tiny_config().jobs(2).repeats(1).static_search(coarse);
+  // Lulesh twice: the same call on one benchmark under two keys.
+  const std::vector<std::string> names = {"Lulesh", "Mcb", "miniMD",
+                                          "Lulesh"};
+
+  // Call c: the benchmark names[c % 4] under the key "k<c>", through
+  // run_dta, tune or evaluate_savings by c % 3. Every answer is dumped.
+  const auto call = [&](api::Session& session, std::size_t c) {
+    const auto app =
+        workload::BenchmarkSuite::by_name(names[c % names.size()])
+            .with_iterations(2);
+    const std::string key = "k" + std::to_string(c);
+    switch (c % 3) {
+      case 0:
+        return session.run_dta(app, key).to_json().dump(-1);
+      case 1:
+        return session.tune("static", app, "", key).to_json().dump(-1);
+      default:
+        return session.evaluate_savings(app, key).to_json().dump(-1);
+    }
+  };
+  constexpr std::size_t kThreads = 8;
+
+  api::Session serial(config);
+  std::vector<std::string> expected;
+  for (std::size_t c = 0; c < kThreads; ++c)
+    expected.push_back(call(serial, c));
+
+  // The concurrent session starts untrained: the first call trains, the
+  // others wait for the model.
+  api::Session shared(config);
+  std::vector<std::string> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kThreads; ++c)
+    threads.emplace_back([&, c] { got[c] = call(shared, c); });
+  for (auto& t : threads) t.join();
+
+  for (std::size_t c = 0; c < kThreads; ++c)
+    EXPECT_EQ(got[c], expected[c]) << "call " << c;
 }
 
 // --- The trained model as a store entry -----------------------------------
@@ -409,7 +512,6 @@ TEST(ApiSession, SeedConventionAndOverrides) {
   EXPECT_EQ(api::SessionConfig{}.seed(10).tuning_seed(), 11u);
   EXPECT_EQ(api::SessionConfig{}.seed(10).tuning_seed(99).tuning_seed(),
             99u);
-  EXPECT_EQ(api::SessionConfig{}.train_node_id(), 0);
   EXPECT_EQ(api::SessionConfig{}.tuning_node_id(), 1);
 }
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "energymon/hdeem.hpp"
 #include "energymon/rapl.hpp"
 #include "energymon/sacct.hpp"
 #include "hwsim/node.hpp"
@@ -21,57 +20,6 @@ class EnergymonTest : public ::testing::Test {
   }
   hwsim::NodeSimulator node_;
 };
-
-TEST_F(EnergymonTest, HdeemMeasuresLongRegionAccurately) {
-  Hdeem::Params p;
-  p.relative_noise = 0.0;
-  Hdeem hdeem(node_, p);
-  hdeem.start();
-  const auto run = node_.run_kernel(kernel(20.0), 24);  // several 100 ms
-  const Joules measured = hdeem.stop();
-  // Start delay (~5 ms) and sample quantization cost a small fraction.
-  EXPECT_LT(measured.value(), run.node_energy.value());
-  EXPECT_NEAR(measured.value() / run.node_energy.value(), 1.0, 0.05);
-}
-
-TEST_F(EnergymonTest, HdeemMissesSubDelayRegions) {
-  Hdeem::Params p;
-  p.relative_noise = 0.0;
-  Hdeem hdeem(node_, p);
-  hdeem.start();
-  node_.idle(Seconds(0.002));  // shorter than the 5 ms start delay
-  const Joules measured = hdeem.stop();
-  // This is exactly why the paper requires significant regions > 100 ms.
-  EXPECT_LT(measured.value(), 0.2);
-}
-
-TEST_F(EnergymonTest, HdeemTotalEnergyIsExactIntegral) {
-  Hdeem hdeem(node_);
-  const auto r1 = node_.run_kernel(kernel(), 24);
-  node_.idle(Seconds(0.1));
-  const auto r2 = node_.run_kernel(kernel(), 12);
-  const double idle_e = node_.idle_power().node().value() * 0.1;
-  EXPECT_NEAR(hdeem.total_energy().value(),
-              r1.node_energy.value() + r2.node_energy.value() + idle_e,
-              1e-6);
-  EXPECT_GT(hdeem.total_time().value(), 0.1);
-}
-
-TEST_F(EnergymonTest, HdeemRejectsUnbalancedStartStop) {
-  Hdeem hdeem(node_);
-  EXPECT_THROW((void)hdeem.stop(), PreconditionError);
-  hdeem.start();
-  EXPECT_THROW(hdeem.start(), PreconditionError);
-  (void)hdeem.stop();
-}
-
-TEST_F(EnergymonTest, HdeemDetachesOnDestruction) {
-  {
-    Hdeem hdeem(node_);
-  }
-  // Must not crash: the destructed monitor no longer listens.
-  node_.run_kernel(kernel(), 24);
-}
 
 TEST_F(EnergymonTest, RaplCounterTracksCpuEnergy) {
   Rapl rapl(node_);

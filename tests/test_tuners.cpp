@@ -19,6 +19,7 @@
 #include "baseline/static_tuner.hpp"
 #include "common/error.hpp"
 #include "store/measurement_store.hpp"
+#include "tuners/governor_tuner.hpp"
 #include "tuners/registry.hpp"
 #include "workload/suite.hpp"
 
@@ -203,11 +204,18 @@ TEST(TunerEquivalence, DtaAdapterMatchesDirectPluginRun) {
   auto seam_node = test_node(7);
   tuners::DtaTuner adapter(
       seam_node, []() -> const model::EnergyModel& { return tiny_model(); });
-  const core::DtaResult via_seam = adapter.run(app);
+  const TuningOutcome via_seam = adapter.tune(TuningRequest{app, "energy"});
 
-  // The whole analysis result must round-trip identically (DtaResult's
-  // JSON dump is bit-exact for doubles).
-  EXPECT_EQ(via_seam.to_json().dump(-1), direct.to_json().dump(-1));
+  // The outcome is a field-by-field mapping of the full analysis result.
+  EXPECT_EQ(via_seam.tuner, "dta");
+  EXPECT_EQ(via_seam.objective, "energy");
+  EXPECT_EQ(via_seam.best, direct.phase_best);
+  EXPECT_EQ(via_seam.region_best, direct.region_best);
+  EXPECT_EQ(via_seam.scenarios_evaluated,
+            direct.thread_scenarios + direct.analysis_runs +
+                direct.frequency_scenarios);
+  EXPECT_EQ(via_seam.app_runs, direct.app_runs);
+  EXPECT_EQ(via_seam.tuning_time.value(), direct.tuning_time.value());
 }
 
 // -- Q-learning -------------------------------------------------------------
@@ -373,7 +381,7 @@ TEST(GovernorTuner, WarmRestartReplaysWholeRunWithZeroMisses) {
 
 // -- Session plumbing -------------------------------------------------------
 
-TEST(SessionTune, ThreadsObjectiveAndCachesTunerInstances) {
+TEST(SessionTune, ThreadsObjectiveAndEqualCallsReturnEqualBytes) {
   api::Session session(api::SessionConfig{}.seed(11).qlearn(short_qlearn()));
   const auto app = workload::BenchmarkSuite::by_name("Mcb");
 
@@ -381,10 +389,21 @@ TEST(SessionTune, ThreadsObjectiveAndCachesTunerInstances) {
   EXPECT_EQ(capped.tuner, "qlearn");
   EXPECT_EQ(capped.objective, "power_cap:250");
 
-  // The same Session must reuse the tuner instance, so a second call is
-  // decorrelated (fresh noise keys), not an identical replay.
+  // Every call runs a fresh strategy on a clone of the tuning node keyed by
+  // its arguments, so an equal second call replays the first exactly.
   const TuningOutcome again = session.tune("qlearn", app, "power_cap:250");
-  EXPECT_EQ(again.objective, "power_cap:250");
+  EXPECT_EQ(again.to_json().dump(-1), capped.to_json().dump(-1));
+  // An explicit key is a different noise stream with the same contract.
+  const TuningOutcome keyed =
+      session.tune("qlearn", app, "power_cap:250", "other");
+  EXPECT_EQ(keyed.objective, "power_cap:250");
+  EXPECT_EQ(session.tune("qlearn", app, "power_cap:250", "other")
+                .to_json()
+                .dump(-1),
+            keyed.to_json().dump(-1));
+  // An empty objective means the session's, under the same key.
+  EXPECT_EQ(session.tune("qlearn", app, "").to_json().dump(-1),
+            session.tune("qlearn", app).to_json().dump(-1));
 }
 
 TEST(SessionTune, SessionsWithEqualConfigAgreeBitForBit) {
