@@ -70,7 +70,7 @@ Session::Session(SessionConfig config)
   store_.open(
       config_.cache_dir(),
       store::resolve_store_mode(config_.cache_mode(), config_.cache_dir()),
-      config_.scope(), config_.store_shards());
+      config_.scope(), config_.store_shards(), jobs_);
 }
 
 model::EnergyDataset Session::acquire_dataset() {
@@ -105,7 +105,7 @@ const model::EnergyModel& Session::train_model() {
     key.fingerprint = model_fingerprint(dataset, model_cfg, epochs);
     if (const auto hit = store_.lookup(key)) {
       try {
-        model_.emplace(model::EnergyModel::from_json(*hit));
+        model_.emplace(model::EnergyModel::from_json(Json::parse(*hit)));
         return *model_;
       } catch (const std::exception& e) {
         log::error("api") << "undecodable cache payload for '" << key.task
@@ -168,7 +168,7 @@ DtaReport Session::dta_row(const workload::Benchmark& app,
         .add("engine.seed", po.engine.seed)
         // The trained model determines every frequency recommendation, so
         // its full weight state is part of the row identity.
-        .add("model", trained.canonical_json())
+        .add("model", trained.canonical_digest())
         .add("noise_key", key)
         .add_digest("app", app.fingerprint_digest());
     return fp.digest();

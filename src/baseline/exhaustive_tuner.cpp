@@ -96,15 +96,24 @@ ExhaustiveTuningResult ExhaustiveTuner::tune(
           if (const auto hit = cache->lookup(cache_key)) {
             try {
               RunOutcome out;
-              out.app = ptf::measurement_from_json(hit->at("app"));
-              for (const auto& [region, m] : hit->at("regions").as_object())
-                out.regions[region] = ptf::measurement_from_json(m);
+              JsonReader r(*hit);
+              r.begin_object();
+              r.key("app");
+              out.app = ptf::read_measurement(r);
+              r.key("elapsed");
+              out.elapsed = Seconds(r.number());
+              r.key("regions");
+              r.begin_object();
+              for (std::string_view region; r.next_key(region);)
+                out.regions[std::string(region)] = ptf::read_measurement(r);
+              r.key("wall_time");
+              out.wall_time = Seconds(r.number());
+              r.end_object();
+              r.end();
               // Every fully instrumented run measures all of the app's
               // regions; fewer means the payload is from another schema.
               ensure(out.regions.size() == app.regions().size(),
                      "payload covers a different region set");
-              out.wall_time = Seconds(hit->at("wall_time").as_number());
-              out.elapsed = Seconds(hit->at("elapsed").as_number());
               return out;
             } catch (const std::exception& e) {
               log::error("store")

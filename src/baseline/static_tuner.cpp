@@ -73,12 +73,18 @@ StaticTuningResult StaticTuner::tune(const workload::Benchmark& app,
           if (const auto hit = cache->lookup(cache_key)) {
             try {
               Evaluated cached = e;
-              cached.point.node_energy =
-                  Joules(hit->at("node_energy").as_number());
-              cached.point.cpu_energy =
-                  Joules(hit->at("cpu_energy").as_number());
-              cached.point.time = Seconds(hit->at("time").as_number());
-              cached.elapsed = Seconds(hit->at("elapsed").as_number());
+              JsonReader r(*hit);
+              r.begin_object();
+              r.key("cpu_energy");
+              cached.point.cpu_energy = Joules(r.number());
+              r.key("elapsed");
+              cached.elapsed = Seconds(r.number());
+              r.key("node_energy");
+              cached.point.node_energy = Joules(r.number());
+              r.key("time");
+              cached.point.time = Seconds(r.number());
+              r.end_object();
+              r.end();
               return cached;
             } catch (const std::exception& ex) {
               log::error("store")

@@ -19,10 +19,27 @@ namespace ecotune {
 /// formatting round-trip).
 class Fingerprint {
  public:
+  /// What a string contributes to a fingerprint, computed once: adding it
+  /// mixes exactly what adding the string itself does, so a large text that
+  /// several fingerprints fold in (a trained model's weights) is hashed
+  /// once instead of per fingerprint.
+  struct Text {
+    std::uint64_t hash = 0;
+    std::uint64_t size = 0;
+
+    [[nodiscard]] static Text of(std::string_view value) {
+      return {fnv1a(value), static_cast<std::uint64_t>(value.size())};
+    }
+  };
+
   Fingerprint& add(std::string_view label, std::string_view value) {
+    return add(label, Text::of(value));
+  }
+
+  Fingerprint& add(std::string_view label, const Text& text) {
     mix_label(label);
-    mix(fnv1a(value));
-    mix(static_cast<std::uint64_t>(value.size()));
+    mix(text.hash);
+    mix(text.size);
     return *this;
   }
 

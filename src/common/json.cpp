@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -203,245 +204,321 @@ void append_utf8(std::string& out, unsigned code) {
   }
 }
 
-/// Recursive-descent JSON parser. Error messages are built only when a
-/// check fails, so a well-formed document costs no allocation beyond its
-/// own values.
-class Parser {
- public:
-  /// Nesting limit. Far above any document ecotune writes (a store line
-  /// nests about ten levels), and low enough that the recursion stays a
-  /// few hundred kilobytes of stack even in sanitizer builds.
-  static constexpr int kMaxDepth = 512;
+[[noreturn]] void fail(const char* message) {
+  throw PreconditionError(message);
+}
 
-  explicit Parser(const std::string& text) : text_(text) {}
+/// Character classes, by table: a store payload is mostly numbers, and
+/// open() scans every one of their characters.
+enum CharClass : unsigned char { kOther = 0, kSpace = 1, kNumber = 2 };
 
-  Json parse() {
-    skip_ws();
-    Json v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("Json::parse: trailing garbage");
-    return v;
-  }
+constexpr std::array<unsigned char, 256> kCharClass = [] {
+  std::array<unsigned char, 256> table{};
+  // The six characters std::isspace accepts in the C locale.
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+    table[static_cast<unsigned char>(c)] = kSpace;
+  for (const char c : {'.', 'e', 'E', '+', '-'})
+    table[static_cast<unsigned char>(c)] = kNumber;
+  for (char c = '0'; c <= '9'; ++c)
+    table[static_cast<unsigned char>(c)] = kNumber;
+  return table;
+}();
 
- private:
-  [[noreturn]] static void fail(const char* message) {
-    throw PreconditionError(message);
-  }
+bool is_space(char c) {
+  return kCharClass[static_cast<unsigned char>(c)] == kSpace;
+}
 
-  [[noreturn]] static void fail_expected(char c) {
-    throw PreconditionError(std::string("Json::parse: expected '") + c + "'");
-  }
-
-  /// The six characters std::isspace accepts in the C locale.
-  static bool is_space(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
-           c == '\r';
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("Json::parse: unexpected end of input");
-    return text_[pos_];
-  }
-
-  char next() {
-    char c = peek();
-    ++pos_;
-    return c;
-  }
-
-  void expect(char c) {
-    if (next() != c) fail_expected(c);
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.compare(pos_, lit.size(), lit) == 0) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Json value() {
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{':
-      case '[': {
-        if (++depth_ > kMaxDepth) {
-          throw PreconditionError("Json::parse: nesting deeper than " +
-                                  std::to_string(kMaxDepth) + " levels");
-        }
-        Json v = c == '{' ? object() : array();
-        --depth_;
-        return v;
-      }
-      case '"':
-        return Json(string());
-      case 't':
-        if (!consume_literal("true")) fail("Json::parse: bad literal");
-        return Json(true);
-      case 'f':
-        if (!consume_literal("false")) fail("Json::parse: bad literal");
-        return Json(false);
-      case 'n':
-        if (!consume_literal("null")) fail("Json::parse: bad literal");
-        return Json(nullptr);
-      default:
-        return number();
-    }
-  }
-
-  Json object() {
-    expect('{');
-    Json::Object obj;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return Json(std::move(obj));
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      Json v = value();
-      // Serialized objects arrive in key order, so the end hint makes each
-      // insert O(1); a duplicate or out-of-order key keeps last-wins.
-      if (obj.empty() || obj.rbegin()->first < key) {
-        obj.emplace_hint(obj.end(), std::move(key), std::move(v));
-      } else {
-        obj[std::move(key)] = std::move(v);
-      }
-      skip_ws();
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("Json::parse: expected ',' or '}' in object");
-    }
-    return Json(std::move(obj));
-  }
-
-  Json array() {
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return Json(Json::Array{});
-    }
-    // Elements collect on a stack shared by every nesting level, so each
-    // array is allocated once at its exact size: growth slack would stay
-    // in the parsed document for its whole lifetime.
-    const std::size_t base = stack_.size();
-    while (true) {
-      stack_.push_back(value());
-      skip_ws();
-      const char c = next();
-      if (c == ']') break;
-      if (c != ',') fail("Json::parse: expected ',' or ']' in array");
-    }
-    const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(base);
-    Json::Array arr(std::make_move_iterator(first),
-                    std::make_move_iterator(stack_.end()));
-    stack_.erase(first, stack_.end());
-    return Json(std::move(arr));
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      // Copy the run up to the next quote or backslash in one append.
-      const std::size_t run = pos_;
-      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\')
-        ++pos_;
-      out.append(text_, run, pos_ - run);
-      const char c = next();
-      if (c == '"') break;
-      const char e = next();
-      switch (e) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = next();
-            code <<= 4;
-            if (h >= '0' && h <= '9')
-              code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code += static_cast<unsigned>(h - 'A' + 10);
-            else
-              fail("Json::parse: bad \\u escape");
-          }
-          append_utf8(out, code);
-          break;
-        }
-        default:
-          fail("Json::parse: bad escape");
-      }
-    }
-    return out;
-  }
-
-  Json number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (!((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-            c == '+' || c == '-'))
-        break;
-      ++pos_;
-    }
-    if (pos_ == start) fail("Json::parse: bad number");
-    // std::from_chars is locale-independent (std::stod honors the process
-    // locale and misparses under ',' decimal separators).
-    double value = 0.0;
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    const auto res = std::from_chars(first, last, value);
-    if (res.ec != std::errc() || res.ptr != last) {
-      throw Error("Json::parse: bad number '" +
-                  text_.substr(start, pos_ - start) + "'");
-    }
-    return Json(value);
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::vector<Json> stack_;
-};
+bool is_number_char(char c) {
+  return kCharClass[static_cast<unsigned char>(c)] == kNumber;
+}
 
 }  // namespace
 
-Json Json::parse(const std::string& text) { return Parser(text).parse(); }
+// Error messages are built only when a check fails, so a well-formed
+// document costs no allocation beyond its own values.
+
+void JsonReader::skip_ws() {
+  while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+}
+
+char JsonReader::peek() {
+  if (pos_ >= text_.size()) fail("Json::parse: unexpected end of input");
+  return text_[pos_];
+}
+
+char JsonReader::next() {
+  const char c = peek();
+  ++pos_;
+  return c;
+}
+
+void JsonReader::expect(char c) {
+  if (next() != c)
+    throw PreconditionError(std::string("Json::parse: expected '") + c + "'");
+}
+
+void JsonReader::open(char bracket) {
+  skip_ws();
+  expect(bracket);
+  if (++depth_ > kMaxDepth) {
+    throw PreconditionError("Json::parse: nesting deeper than " +
+                            std::to_string(kMaxDepth) + " levels");
+  }
+  first_ = true;
+}
+
+void JsonReader::begin_object() { open('{'); }
+
+void JsonReader::begin_array() { open('['); }
+
+bool JsonReader::next_key(std::string_view& key) {
+  skip_ws();
+  if (first_) {
+    first_ = false;
+    if (peek() == '}') {
+      ++pos_;
+      --depth_;
+      return false;
+    }
+  } else {
+    const char c = next();
+    if (c == '}') {
+      --depth_;
+      return false;
+    }
+    if (c != ',') fail("Json::parse: expected ',' or '}' in object");
+    skip_ws();
+  }
+  key = string();
+  skip_ws();
+  expect(':');
+  return true;
+}
+
+void JsonReader::key(std::string_view name) {
+  std::string_view found;
+  if (!next_key(found) || found != name)
+    throw Error("Json: expected key '" + std::string(name) + "'");
+}
+
+void JsonReader::end_object() {
+  std::string_view extra;
+  if (next_key(extra))
+    throw Error("Json: unexpected key '" + std::string(extra) + "'");
+}
+
+bool JsonReader::next_element() {
+  skip_ws();
+  if (first_) {
+    first_ = false;
+    if (peek() != ']') return true;
+    ++pos_;
+    --depth_;
+    return false;
+  }
+  const char c = next();
+  if (c == ']') {
+    --depth_;
+    return false;
+  }
+  if (c != ',') fail("Json::parse: expected ',' or ']' in array");
+  return true;
+}
+
+void JsonReader::end() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("Json::parse: trailing garbage");
+}
+
+Json JsonReader::literal() {
+  const auto consume = [&](std::string_view lit) {
+    if (text_.substr(pos_, lit.size()) != lit)
+      fail("Json::parse: bad literal");
+    pos_ += lit.size();
+  };
+  switch (peek()) {
+    case 't':
+      consume("true");
+      return Json(true);
+    case 'f':
+      consume("false");
+      return Json(false);
+    default:
+      consume("null");
+      return Json(nullptr);
+  }
+}
+
+std::string_view JsonReader::scan_number() {
+  skip_ws();
+  const std::size_t start = pos_;
+  if (peek() == '-') ++pos_;
+  while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
+  if (pos_ == start) fail("Json::parse: bad number");
+  return text_.substr(start, pos_ - start);
+}
+
+double JsonReader::number() {
+  const std::string_view digits = scan_number();
+  // std::from_chars is locale-independent (std::stod honors the process
+  // locale and misparses under ',' decimal separators).
+  double value = 0.0;
+  const char* last = digits.data() + digits.size();
+  const auto res = std::from_chars(digits.data(), last, value);
+  if (res.ec != std::errc() || res.ptr != last)
+    throw Error("Json::parse: bad number '" + std::string(digits) + "'");
+  return value;
+}
+
+std::string_view JsonReader::string() {
+  skip_ws();
+  expect('"');
+  const auto run_end = [&] {
+    std::size_t end = pos_;
+    while (end < text_.size() && text_[end] != '"' && text_[end] != '\\')
+      ++end;
+    return end;
+  };
+  std::size_t run = pos_;
+  pos_ = run_end();
+  if (next() == '"') return text_.substr(run, pos_ - 1 - run);
+  // Escapes: the string is rebuilt in the scratch buffer.
+  scratch_.assign(text_, run, pos_ - 1 - run);
+  while (true) {
+    const char e = next();
+    switch (e) {
+      case '"':
+        scratch_ += '"';
+        break;
+      case '\\':
+        scratch_ += '\\';
+        break;
+      case '/':
+        scratch_ += '/';
+        break;
+      case 'n':
+        scratch_ += '\n';
+        break;
+      case 't':
+        scratch_ += '\t';
+        break;
+      case 'r':
+        scratch_ += '\r';
+        break;
+      case 'b':
+        scratch_ += '\b';
+        break;
+      case 'f':
+        scratch_ += '\f';
+        break;
+      case 'u': {
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = next();
+          code <<= 4;
+          if (h >= '0' && h <= '9')
+            code += static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f')
+            code += static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F')
+            code += static_cast<unsigned>(h - 'A' + 10);
+          else
+            fail("Json::parse: bad \\u escape");
+        }
+        append_utf8(scratch_, code);
+        break;
+      }
+      default:
+        fail("Json::parse: bad escape");
+    }
+    // Copy the run up to the next quote or backslash in one append.
+    run = pos_;
+    pos_ = run_end();
+    scratch_.append(text_, run, pos_ - run);
+    if (next() == '"') return scratch_;
+  }
+}
+
+std::string_view JsonReader::skip() {
+  skip_ws();
+  const std::size_t start = pos_;
+  switch (peek()) {
+    case '{':
+      begin_object();
+      for (std::string_view key; next_key(key);) skip();
+      break;
+    case '[':
+      begin_array();
+      while (next_element()) skip();
+      break;
+    case '"':
+      (void)string();
+      break;
+    case 't':
+    case 'f':
+    case 'n':
+      (void)literal();
+      break;
+    default:
+      (void)scan_number();
+  }
+  return text_.substr(start, pos_ - start);
+}
+
+Json JsonReader::value() {
+  std::vector<Json> stack;
+  return build(stack);
+}
+
+Json JsonReader::build(std::vector<Json>& stack) {
+  skip_ws();
+  switch (peek()) {
+    case '{': {
+      begin_object();
+      Json::Object obj;
+      for (std::string_view k; next_key(k);) {
+        std::string key(k);
+        Json v = build(stack);
+        // Serialized objects arrive in key order, so the end hint makes
+        // each insert O(1); a duplicate or out-of-order key keeps
+        // last-wins.
+        if (obj.empty() || obj.rbegin()->first < key) {
+          obj.emplace_hint(obj.end(), std::move(key), std::move(v));
+        } else {
+          obj[std::move(key)] = std::move(v);
+        }
+      }
+      return Json(std::move(obj));
+    }
+    case '[': {
+      begin_array();
+      // Elements collect on a stack shared by every nesting level, so each
+      // array is allocated once at its exact size: growth slack would stay
+      // in the parsed document for its whole lifetime.
+      const std::size_t base = stack.size();
+      while (next_element()) stack.push_back(build(stack));
+      const auto first = stack.begin() + static_cast<std::ptrdiff_t>(base);
+      Json::Array arr(std::make_move_iterator(first),
+                      std::make_move_iterator(stack.end()));
+      stack.erase(first, stack.end());
+      return Json(std::move(arr));
+    }
+    case '"':
+      return Json(std::string(string()));
+    case 't':
+    case 'f':
+    case 'n':
+      return literal();
+    default:
+      return Json(number());
+  }
+}
+
+Json Json::parse(std::string_view text) {
+  JsonReader reader(text);
+  Json v = reader.value();
+  reader.end();
+  return v;
+}
 
 }  // namespace ecotune

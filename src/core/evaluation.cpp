@@ -139,7 +139,7 @@ SavingsRow SavingsEvaluator::evaluate_keyed(
              options_.static_search.phase_iterations)
         // The trained model determines the DTA's frequency recommendation,
         // so its full weight state is part of the row identity.
-        .add("model", energy_model_.canonical_json());
+        .add("model", energy_model_.canonical_digest());
     for (int t : options_.static_search.thread_counts)
       fp.add("static.thread_count", t);
     fp.add("noise_key", noise_key).add_digest("app", app.fingerprint_digest());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
@@ -265,17 +266,33 @@ Json sample_to_json(const EnergySample& s) {
   return j;
 }
 
-EnergySample sample_from_json(const std::string& benchmark, const Json& j) {
+int read_int(JsonReader& r) {
+  return static_cast<int>(std::llround(r.number()));
+}
+
+/// Reads what sample_to_json wrote, keys in sorted order.
+EnergySample read_sample(JsonReader& r, const std::string& benchmark,
+                         std::size_t feature_count) {
   EnergySample s;
   s.benchmark = benchmark;
-  s.threads = j.at("threads").as_int();
-  s.cf = CoreFreq::mhz(j.at("cf_mhz").as_int());
-  s.ucf = UncoreFreq::mhz(j.at("ucf_mhz").as_int());
-  for (const Json& v : j.at("features").as_array())
-    s.features.push_back(v.as_number());
-  s.normalized_energy = j.at("normalized_energy").as_number();
-  s.normalized_power = j.at("normalized_power").as_number();
-  s.normalized_time = j.at("normalized_time").as_number();
+  r.begin_object();
+  r.key("cf_mhz");
+  s.cf = CoreFreq::mhz(read_int(r));
+  r.key("features");
+  s.features.reserve(feature_count);
+  r.begin_array();
+  while (r.next_element()) s.features.push_back(r.number());
+  r.key("normalized_energy");
+  s.normalized_energy = r.number();
+  r.key("normalized_power");
+  s.normalized_power = r.number();
+  r.key("normalized_time");
+  s.normalized_time = r.number();
+  r.key("threads");
+  s.threads = read_int(r);
+  r.key("ucf_mhz");
+  s.ucf = UncoreFreq::mhz(read_int(r));
+  r.end_object();
   return s;
 }
 
@@ -337,13 +354,22 @@ EnergyDataset DataAcquisition::acquire(
                   strided(spec.core_grid.size(), options_.cf_stride) *
                   strided(spec.uncore_grid.size(), options_.ucf_stride);
               BenchOutcome out;
-              for (const Json& sj : hit->at("samples").as_array())
-                out.samples.push_back(
-                    sample_from_json(benchmarks[i].name(), sj));
+              JsonReader r(*hit);
+              r.begin_object();
+              r.key("elapsed");
+              out.elapsed = Seconds(r.number());
+              r.key("runs");
+              out.runs = static_cast<long>(r.number());
+              r.key("samples");
+              out.samples.reserve(expected);
+              r.begin_array();
+              while (r.next_element())
+                out.samples.push_back(read_sample(r, benchmarks[i].name(),
+                                                  ds.feature_names.size()));
+              r.end_object();
+              r.end();
               ensure(out.samples.size() == expected,
                      "payload covers a different sweep");
-              out.runs = static_cast<long>(hit->at("runs").as_number());
-              out.elapsed = Seconds(hit->at("elapsed").as_number());
               return out;
             } catch (const std::exception& e) {
               log::error("store")

@@ -86,8 +86,13 @@ void EnergyModel::train(const EnergyDataset& train, int epochs) {
     nets_.push_back(std::move(net));
   }
   ensure(!nets_.empty(), "EnergyModel::train: no candidate converged");
+  set_trained();
+}
+
+void EnergyModel::set_trained() {
   trained_ = true;
   canonical_json_ = to_json().dump(-1);
+  canonical_digest_ = Fingerprint::Text::of(canonical_json_);
 }
 
 void EnergyModel::predict_rows(const stats::Matrix& raw,
@@ -241,14 +246,18 @@ EnergyModel EnergyModel::from_json(const Json& j) {
   ensure(!m.nets_.empty(), "EnergyModel::from_json: no networks");
   m.config_.epochs = j.at("epochs").as_int();
   m.config_.ensemble = static_cast<int>(m.nets_.size());
-  m.trained_ = true;
-  m.canonical_json_ = m.to_json().dump(-1);
+  m.set_trained();
   return m;
 }
 
 const std::string& EnergyModel::canonical_json() const {
   ensure(trained_, "EnergyModel::canonical_json: model not trained");
   return canonical_json_;
+}
+
+const Fingerprint::Text& EnergyModel::canonical_digest() const {
+  ensure(trained_, "EnergyModel::canonical_digest: model not trained");
+  return canonical_digest_;
 }
 
 }  // namespace ecotune::model

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/fingerprint.hpp"
 #include "common/json.hpp"
 #include "hwsim/cpu_spec.hpp"
 #include "model/dataset.hpp"
@@ -98,14 +99,20 @@ class EnergyModel {
   [[nodiscard]] static EnergyModel from_json(const Json& j);
 
   /// to_json().dump(-1), rendered once when the model was trained or
-  /// loaded. Cache fingerprints hash this text, so they do not re-serialize
-  /// the weights on every request.
+  /// loaded.
   [[nodiscard]] const std::string& canonical_json() const;
+
+  /// Fingerprint::Text::of(canonical_json()), hashed at the same time.
+  /// Cache fingerprints fold this in, so they neither re-serialize nor
+  /// re-hash the weights on every request.
+  [[nodiscard]] const Fingerprint::Text& canonical_digest() const;
 
  private:
   /// The shared batched core: scales `raw` (n x features) once and writes
   /// the ensemble-mean prediction per row into `out` (out.size() == n).
   void predict_rows(const stats::Matrix& raw, std::span<double> out) const;
+  /// Marks the model trained and renders its canonical text and digest.
+  void set_trained();
   /// Builds the CF x UCF grid feature matrix (CF-major, UCF-minor row
   /// order) for one counter-rate signature into `rows` starting at
   /// `first_row`.
@@ -117,7 +124,9 @@ class EnergyModel {
   stats::StandardScaler scaler_;
   std::vector<nn::Mlp> nets_;  ///< ensemble members (>= 1 when trained)
   bool trained_ = false;
-  std::string canonical_json_;  ///< set whenever trained_ becomes true
+  /// Both set whenever trained_ becomes true (set_trained()).
+  std::string canonical_json_;
+  Fingerprint::Text canonical_digest_;
 };
 
 }  // namespace ecotune::model

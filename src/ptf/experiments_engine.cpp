@@ -149,20 +149,30 @@ std::vector<ScenarioResult> ExperimentsEngine::run(
             // half-filled buckets behind.
             try {
               ChunkOutcome cached = out;
-              cached.elapsed = Seconds(hit->at("elapsed").as_number());
+              JsonReader reader(*hit);
+              reader.begin_object();
+              reader.key("buckets");
+              reader.begin_object();
               std::size_t decoded = 0;
-              for (const auto& [id_str, bucket] :
-                   hit->at("buckets").as_object()) {
+              for (std::string_view id_text; reader.next_key(id_text);) {
                 std::int64_t id = 0;
-                ensure(parse_int(id_str, id),
-                       "bad bucket id '" + id_str + "'");
+                if (!parse_int(id_text, id))
+                  throw Error("bad bucket id '" + std::string(id_text) + "'");
                 auto& r = cached.buckets.at(id);
-                r.phase = measurement_from_json(bucket.at("phase"));
-                for (const auto& [region, m] :
-                     bucket.at("regions").as_object())
-                  r.regions[region] = measurement_from_json(m);
+                reader.begin_object();
+                reader.key("phase");
+                r.phase = read_measurement(reader);
+                reader.key("regions");
+                reader.begin_object();
+                for (std::string_view region; reader.next_key(region);)
+                  r.regions[std::string(region)] = read_measurement(reader);
+                reader.end_object();
                 ++decoded;
               }
+              reader.key("elapsed");
+              cached.elapsed = Seconds(reader.number());
+              reader.end_object();
+              reader.end();
               // .at() above rejects payload ids outside the slice; this
               // rejects payloads covering only a subset of it, which would
               // otherwise return zero-initialized scenario measurements.

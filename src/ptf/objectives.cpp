@@ -111,12 +111,18 @@ Json to_json(const Measurement& m) {
   return j;
 }
 
-Measurement measurement_from_json(const Json& j) {
+Measurement read_measurement(JsonReader& r) {
   Measurement m;
-  m.node_energy = Joules(j.at("node_energy").as_number());
-  m.cpu_energy = Joules(j.at("cpu_energy").as_number());
-  m.time = Seconds(j.at("time").as_number());
-  m.count = static_cast<long>(j.at("count").as_number());
+  r.begin_object();
+  r.key("count");
+  m.count = static_cast<long>(r.number());
+  r.key("cpu_energy");
+  m.cpu_energy = Joules(r.number());
+  r.key("node_energy");
+  m.node_energy = Joules(r.number());
+  r.key("time");
+  m.time = Seconds(r.number());
+  r.end_object();
   return m;
 }
 

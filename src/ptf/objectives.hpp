@@ -160,7 +160,9 @@ class EnergyBudgetObjective final : public TuningObjective {
 /// JSON round trip of a Measurement for the measurement store. Doubles
 /// survive bit-exactly (Json serializes via std::to_chars), so replayed
 /// measurements are indistinguishable from freshly simulated ones.
+/// read_measurement reads the object to_json wrote, keys in sorted order,
+/// straight from a stored payload's bytes.
 [[nodiscard]] Json to_json(const Measurement& m);
-[[nodiscard]] Measurement measurement_from_json(const Json& j);
+[[nodiscard]] Measurement read_measurement(JsonReader& r);
 
 }  // namespace ecotune::ptf

@@ -87,6 +87,10 @@ void Server::bind_and_listen() {
   }
   set_nonblocking(fd);
   listen_fd_ = fd;
+  // The stop pipe lives as long as the Server (closed in the destructor):
+  // request_stop() may run on any thread at any time, so its fd never
+  // changes once created.
+  if (wake_fds_[0] >= 0) return;
 
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) != 0) {
@@ -155,10 +159,6 @@ void Server::serve() {
   g_wake_fd.store(-1);
   ::close(listen_fd_);
   listen_fd_ = -1;
-  ::close(wake_fds_[0]);
-  ::close(wake_fds_[1]);
-  wake_fds_[0] = -1;
-  wake_fds_[1] = -1;
   ::unlink(socket_path_.c_str());
   log::info("serve") << "drained and stopped";
 }

@@ -32,7 +32,7 @@ T cached_row(MeasurementStore* store, const std::string& task,
     key.fingerprint = fingerprint();
     if (const auto hit = store->lookup(key)) {
       try {
-        return T::from_json(hit->at(field));
+        return T::from_json(Json::parse(*hit).at(field));
       } catch (const std::exception& e) {
         log::error("store") << "undecodable cache payload for '" << task
                             << "' (" << e.what() << "); recomputing";

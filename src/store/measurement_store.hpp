@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -53,19 +55,30 @@ struct StoreStats {
   long invalidated = 0;  ///< entries dropped on fingerprint mismatch
   long rejected = 0;     ///< corrupt on-disk entries refused at load
   long writes = 0;       ///< entries appended this session
+  long repaired = 0;     ///< torn file tails truncated at open (rw mode)
 };
 
 /// Persistent, content-addressed measurement store.
 ///
-/// In-memory map of task -> (fingerprint, payload) backed by an append-only
-/// JSON-lines file `<cache_dir>/measurements.jsonl`. Every measurement
-/// consumer (experiments engine, baseline tuners, data acquisition, savings
-/// evaluator, the tuning service) consults the store before simulating and
-/// appends what it measured, so a warm rerun of any driver answers
-/// already-seen scenario measurements from disk instead of re-simulating
-/// them. Payload values round-trip bit-exactly (Json serializes doubles via
-/// std::to_chars), which is what makes warm output byte-identical to a cold
-/// run.
+/// In-memory map of task -> (fingerprint, payload bytes) backed by an
+/// append-only JSON-lines file `<cache_dir>/measurements.jsonl`. Every
+/// measurement consumer (experiments engine, baseline tuners, data
+/// acquisition, savings evaluator, the tuning service) consults the store
+/// before simulating and appends what it measured, so a warm rerun of any
+/// driver answers already-seen scenario measurements from disk instead of
+/// re-simulating them. Payload values round-trip bit-exactly (Json
+/// serializes doubles via std::to_chars), which is what makes warm output
+/// byte-identical to a cold run.
+///
+/// A payload is kept as its compact JSON text, never as a tree: open()
+/// reads the file into one buffer and indexes each line's payload bytes
+/// where they lie; insert() keeps the line it appends. A hit hands the
+/// caller a view of those bytes, and the caller decodes them into its own
+/// types (JsonReader, or Json::parse for a whole-row payload). Bytes are
+/// never freed or moved before the store is destroyed -- an invalidated or
+/// replaced entry only stops being indexed -- so a view stays readable
+/// while other threads invalidate or replace its task. The memory held is
+/// therefore the file's size, superseded lines included.
 ///
 /// Thread safety: the in-memory index is split into `shard_count()`
 /// fingerprint-hashed shards (FNV-1a over the scoped task key), each an
@@ -76,7 +89,7 @@ struct StoreStats {
 /// trivially acyclic. The discipline is compiler-proved: every guarded
 /// member carries ECOTUNE_GUARDED_BY and the _locked helpers carry
 /// ECOTUNE_REQUIRES, so a Clang `-Wthread-safety` build rejects any access
-/// outside the lock. mode_/dir_/scope_/file_path_/shards_ are written
+/// outside the lock. mode_/dir_/scope_/file_path_/file_/shards_ are written
 /// exactly once by open() (before any concurrent use -- drivers open the
 /// store during CLI setup) and are read-only afterwards, which is why the
 /// cheap accessors below take no lock. Shard count never changes results:
@@ -94,10 +107,17 @@ class MeasurementStore {
   MeasurementStore(const std::string& cache_dir, StoreMode mode);
 
   /// Opens the backing directory (created if missing in rw mode) and loads
-  /// every valid entry of measurements.jsonl into memory. Corrupt lines are
-  /// rejected loudly (log::error with file and line number, counted in
-  /// stats().rejected) and never answer lookups. Later duplicates of a task
-  /// win, matching append-only semantics.
+  /// every valid entry of measurements.jsonl into memory. A line is valid
+  /// when it is an object with a non-empty "task", a hex "fp" and a
+  /// structurally complete "payload"; payload numbers are not converted
+  /// here, so a payload that does not decode is its consumer's miss.
+  /// Corrupt lines are rejected loudly (log::error with file and line
+  /// number, counted in stats().rejected) and never answer lookups. Later
+  /// duplicates of a task win, matching append-only semantics.
+  ///
+  /// In rw mode a file that does not end in '\n' has a torn last line (a
+  /// writer died mid-append): it is truncated to its last newline before
+  /// anything is appended, logged, and counted in stats().repaired.
   ///
   /// `scope` namespaces every task key ("scope/task"); drivers pass their
   /// own name so several drivers can share one cache directory without
@@ -105,24 +125,31 @@ class MeasurementStore {
   /// other's entries, since their contexts fingerprint differently).
   ///
   /// `shards` picks the in-memory index shard count (0 means
-  /// kDefaultShardCount). Purely a concurrency knob: lookup results, stats
-  /// totals and the on-disk format are identical for every value.
+  /// kDefaultShardCount). `jobs` lines are validated concurrently (<= 0
+  /// means the hardware concurrency); they are indexed in file order
+  /// afterwards. Both are pure concurrency knobs: lookup results, stats
+  /// totals, log lines and the on-disk format are identical for every
+  /// value.
   void open(const std::string& cache_dir, StoreMode mode,
-            std::string scope = {}, std::size_t shards = 0);
+            std::string scope = {}, std::size_t shards = 0, int jobs = 1);
 
   [[nodiscard]] bool enabled() const { return mode_ != StoreMode::kOff; }
   [[nodiscard]] StoreMode mode() const { return mode_; }
   [[nodiscard]] const std::string& cache_dir() const { return dir_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
-  /// Returns the payload recorded for `key`, or nullopt on miss. A stored
-  /// entry whose fingerprint differs from key.fingerprint is stale (the
-  /// context changed); it is invalidated and the lookup misses.
-  [[nodiscard]] std::optional<Json> lookup(const MeasurementKey& key);
+  /// Returns the compact JSON bytes recorded for `key`, or nullopt on miss.
+  /// The view is valid until the store is destroyed (see the class
+  /// comment). A stored entry whose fingerprint differs from
+  /// key.fingerprint is stale (the context changed); it is invalidated and
+  /// the lookup misses.
+  [[nodiscard]] std::optional<std::string_view> lookup(
+      const MeasurementKey& key);
 
   /// Records `payload` under `key`. No-op in ro/off mode. In rw mode the
   /// entry is appended to disk immediately (one JSON line, flushed), so a
-  /// killed run still leaves a usable cache.
+  /// killed run still leaves a usable cache; the index keeps that line's
+  /// bytes.
   void insert(const MeasurementKey& key, const Json& payload)
       ECOTUNE_EXCLUDES(append_mutex_);
 
@@ -134,13 +161,13 @@ class MeasurementStore {
 
   /// One-line, machine-greppable summary:
   /// "[measurement-store] hits=H misses=M invalidated=I rejected=R writes=W
-  ///  entries=E (mode=rw, dir=...)". Drivers print it to stderr.
+  ///  entries=E (mode=rw, dir=...) repaired=P". Drivers print it to stderr.
   [[nodiscard]] std::string summary() const ECOTUNE_EXCLUDES(append_mutex_);
 
  private:
   struct Entry {
     std::uint64_t fingerprint = 0;
-    Json payload;
+    std::string_view payload;  ///< into file_ or a Shard::lines_ element
   };
 
   /// One fingerprint-hashed slice of the index. Shards never share state:
@@ -149,30 +176,30 @@ class MeasurementStore {
   struct Shard {
     /// Lock-held workhorses behind the public lookup/insert; the REQUIRES
     /// contract is what the Clang lane's negative check targets.
-    [[nodiscard]] std::optional<Json> lookup_locked(
+    [[nodiscard]] std::optional<std::string_view> lookup_locked(
         const std::string& task, std::uint64_t fingerprint)
         ECOTUNE_REQUIRES(mutex_);
-    void insert_locked(const std::string& task, std::uint64_t fingerprint,
-                       const Json& payload) ECOTUNE_REQUIRES(mutex_);
 
     mutable Mutex mutex_;
     std::map<std::string, Entry> entries_ ECOTUNE_GUARDED_BY(mutex_);
+    /// Lines inserted this session. A deque never moves its elements, and
+    /// nothing is erased, so entries_ and handed-out views stay valid.
+    std::deque<std::string> lines_ ECOTUNE_GUARDED_BY(mutex_);
     long hits_ ECOTUNE_GUARDED_BY(mutex_) = 0;
     long misses_ ECOTUNE_GUARDED_BY(mutex_) = 0;
     long invalidated_ ECOTUNE_GUARDED_BY(mutex_) = 0;
   };
 
   [[nodiscard]] Shard& shard_of(const std::string& task) const;
-  void load_file(const std::string& path);
-  void append_line_locked(const std::string& task, std::uint64_t fingerprint,
-                          const Json& payload)
-      ECOTUNE_REQUIRES(append_mutex_);
+  void load_file(StoreMode mode, int jobs);
   [[nodiscard]] std::string scoped(const std::string& task) const;
 
   StoreMode mode_ = StoreMode::kOff;
   std::string dir_;
   std::string scope_;
   std::string file_path_;
+  /// measurements.jsonl as read by open(); loaded entries point into it.
+  std::unique_ptr<char[]> file_;
   /// Fixed after open(); unique_ptr because Mutex is immovable.
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -182,6 +209,7 @@ class MeasurementStore {
   std::ofstream appender_ ECOTUNE_GUARDED_BY(append_mutex_);
   long rejected_ ECOTUNE_GUARDED_BY(append_mutex_) = 0;
   long writes_ ECOTUNE_GUARDED_BY(append_mutex_) = 0;
+  long repaired_ ECOTUNE_GUARDED_BY(append_mutex_) = 0;
 };
 
 }  // namespace ecotune::store

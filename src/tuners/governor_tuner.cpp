@@ -151,13 +151,22 @@ TuningOutcome GovernorTuner::tune(const TuningRequest& request) {
     cache_key.fingerprint = fp.digest();
     if (const auto hit = cache->lookup(cache_key)) {
       try {
-        out.best = store::config_from_json(hit->at("best"));
-        out.best_measurement = ptf::measurement_from_json(hit->at("m"));
-        out.scenarios_evaluated =
-            static_cast<long>(hit->at("scenarios").as_number());
+        JsonReader r(*hit);
+        r.begin_object();
+        r.key("best");
+        out.best = store::config_from_json(r.value());
+        r.key("elapsed");
+        const Seconds elapsed(r.number());
+        r.key("m");
+        out.best_measurement = ptf::read_measurement(r);
+        r.key("scenarios");
+        out.scenarios_evaluated = static_cast<long>(r.number());
+        r.key("tuning_time");
+        out.tuning_time = Seconds(r.number());
+        r.end_object();
+        r.end();
         out.app_runs = 1;
-        out.tuning_time = Seconds(hit->at("tuning_time").as_number());
-        node_.idle(Seconds(hit->at("elapsed").as_number()));
+        node_.idle(elapsed);
         return out;
       } catch (const std::exception& ex) {
         log::error("store")

@@ -238,8 +238,15 @@ TuningOutcome QLearningTuner::tune(const TuningRequest& request) {
       cache_key.fingerprint = fp.digest();
       if (const auto hit = cache->lookup(cache_key)) {
         try {
-          ptf::Measurement cached = ptf::measurement_from_json(hit->at("m"));
-          elapsed = Seconds(hit->at("elapsed").as_number());
+          JsonReader r(*hit);
+          r.begin_object();
+          r.key("elapsed");
+          const Seconds cached_elapsed(r.number());
+          r.key("m");
+          const ptf::Measurement cached = ptf::read_measurement(r);
+          r.end_object();
+          r.end();
+          elapsed = cached_elapsed;
           m = cached;
           measured = true;
         } catch (const std::exception& ex) {

@@ -23,6 +23,7 @@
 #include "api/session.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "common/fingerprint.hpp"
 #include "common/logging.hpp"
 #include "common/simd.hpp"
 #include "common/table.hpp"
@@ -372,6 +373,37 @@ TEST(ApiModelEntry, ColdSessionWritesOneEntryAndWarmSessionLoadsIt) {
   EXPECT_EQ(warm.store().stats().writes, 0);
   EXPECT_EQ(model_lines(dir).size(), 1u);
   std::filesystem::remove_all(dir);
+}
+
+// Row fingerprints fold the model in through its cached digest. The digest
+// must mix exactly what hashing the canonical text did (label, FNV-1a of
+// the text, its size), or every stored DTA and savings row would miss.
+TEST(ApiModelEntry, CachedDigestFoldsInLikeTheCanonicalText) {
+  const model::EnergyModel& trained = tiny_model();
+  const std::string& text = trained.canonical_json();
+  EXPECT_EQ(trained.canonical_digest().hash, fnv1a(text));
+  EXPECT_EQ(trained.canonical_digest().size, text.size());
+
+  // The composition Fingerprint::add(label, text) has always used, spelled
+  // out byte by byte.
+  std::uint64_t expected = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      expected ^= (v >> (8 * i)) & 0xFF;
+      expected *= 0x100000001b3ULL;
+    }
+  };
+  mix(fnv1a("model"));
+  mix(fnv1a(text));
+  mix(text.size());
+  EXPECT_EQ(Fingerprint().add("model", trained.canonical_digest()).digest(),
+            expected);
+  EXPECT_EQ(Fingerprint().add("model", text).digest(), expected);
+
+  // A model loaded from its JSON carries the same digest.
+  const auto loaded = model::EnergyModel::from_json(Json::parse(text));
+  EXPECT_EQ(loaded.canonical_digest().hash, trained.canonical_digest().hash);
+  EXPECT_EQ(loaded.canonical_digest().size, trained.canonical_digest().size);
 }
 
 TEST(ApiModelEntry, StoreWrittenAtAvx2AnswersAScalarSession) {

@@ -238,6 +238,45 @@ TEST(Json, RealAcquisitionStoreLineRoundTrips) {
   fs::remove_all(dir);
 }
 
+// The pull reader walks a document without a tree: members by key, values
+// in place, skipped values returned as their exact text.
+TEST(JsonReader, ReadsMembersInPlaceAndSkipsToExactSpans) {
+  const std::string text =
+      R"({"a": [1, 2.5, -3e2], "b":{"x":"esc\"aped","y":null}, "c" : true})";
+  JsonReader r(text);
+  r.begin_object();
+  r.key("a");
+  std::vector<double> a;
+  r.begin_array();
+  while (r.next_element()) a.push_back(r.number());
+  EXPECT_EQ(a, (std::vector<double>{1.0, 2.5, -300.0}));
+  r.key("b");
+  EXPECT_EQ(r.skip(), R"({"x":"esc\"aped","y":null})");
+  std::string_view key;
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "c");
+  EXPECT_EQ(r.skip(), "true");
+  r.end_object();
+  r.end();
+
+  // A string with escapes comes back unescaped.
+  JsonReader escaped(R"("tab\there")");
+  EXPECT_EQ(escaped.string(), "tab\there");
+
+  // A fixed layout rejects a missing, renamed or extra member.
+  JsonReader renamed(R"({"b":1})");
+  renamed.begin_object();
+  EXPECT_THROW(renamed.key("a"), Error);
+  JsonReader extra(R"({"a":1,"b":2})");
+  extra.begin_object();
+  extra.key("a");
+  (void)extra.number();
+  EXPECT_THROW(extra.end_object(), Error);
+  // skip() checks structure: a torn value throws.
+  JsonReader torn(R"({"a":[1,2)");
+  EXPECT_THROW((void)torn.skip(), Error);
+}
+
 TEST(Json, EmptyContainers) {
   EXPECT_EQ(Json::parse("[]").as_array().size(), 0u);
   EXPECT_EQ(Json::parse("{}").as_object().size(), 0u);

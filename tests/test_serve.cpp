@@ -710,7 +710,7 @@ TEST(ServeShardedStore, ShardCountNeverChangesLookupResults) {
       const auto hit = reader.lookup({"task-" + std::to_string(i),
                                       static_cast<std::uint64_t>(1000 + i)});
       ASSERT_TRUE(hit.has_value()) << "shards=" << shards << " i=" << i;
-      EXPECT_EQ(hit->dump(-1), payload_for(i).dump(-1));
+      EXPECT_EQ(*hit, payload_for(i).dump(-1));
     }
     const auto miss = reader.lookup({"task-0", 999});  // stale fingerprint
     EXPECT_FALSE(miss.has_value());
@@ -744,7 +744,9 @@ TEST(ServeShardedStore, ConcurrentInsertAndLookupKeepCountersExact) {
     threads.emplace_back([&store, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const std::string task = stress_task(t, i);
-        const auto fp = static_cast<std::uint64_t>(t * kPerThread + i);
+        // Fingerprints start at 1: a zero key is a caller bug the store
+        // DCHECKs against.
+        const auto fp = static_cast<std::uint64_t>(t * kPerThread + i + 1);
         store.insert({task, fp}, payload_for(i));
         const auto hit = store.lookup({task, fp});
         EXPECT_TRUE(hit.has_value());
@@ -775,7 +777,7 @@ TEST(ServeShardedStore, ConcurrentInsertAndLookupKeepCountersExact) {
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
       const std::string task = stress_task(t, i);
-      const auto fp = static_cast<std::uint64_t>(t * kPerThread + i);
+      const auto fp = static_cast<std::uint64_t>(t * kPerThread + i + 1);
       ASSERT_TRUE(reloaded.lookup({task, fp}).has_value());
     }
   }

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "baseline/exhaustive_tuner.hpp"
 #include "baseline/static_tuner.hpp"
@@ -46,6 +47,27 @@ hwsim::NodeSimulator test_node(int node_id = 0, std::uint64_t seed = 42) {
   hwsim::NodeSimulator node(hwsim::haswell_ep_spec(), node_id, Rng(seed));
   node.set_jitter(0.002);
   return node;
+}
+
+/// Every field of every sample, as exact text (Json writes doubles in their
+/// shortest round-trip form), for whole-dataset equality checks.
+std::string samples_text(const model::EnergyDataset& ds) {
+  Json all = Json::array();
+  for (const auto& s : ds.samples) {
+    Json j = Json::object();
+    j["benchmark"] = s.benchmark;
+    j["threads"] = s.threads;
+    j["cf"] = s.cf.as_mhz();
+    j["ucf"] = s.ucf.as_mhz();
+    Json features = Json::array();
+    for (double v : s.features) features.push_back(v);
+    j["features"] = std::move(features);
+    j["energy"] = s.normalized_energy;
+    j["power"] = s.normalized_power;
+    j["time"] = s.normalized_time;
+    all.push_back(std::move(j));
+  }
+  return all.dump(-1);
 }
 
 // --- Fingerprint sensitivity ---------------------------------------------
@@ -128,7 +150,7 @@ TEST(MeasurementStore, RoundTripsAndPersistsAcrossSessions) {
     s.insert(key, payload);
     const auto hit = s.lookup(key);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->at("value").as_number(), 0.1 + 0.2);  // bit-exact
+    EXPECT_EQ(Json::parse(*hit).at("value").as_number(), 0.1 + 0.2);
     EXPECT_EQ(s.stats().hits, 1);
     EXPECT_EQ(s.stats().misses, 1);
     EXPECT_EQ(s.stats().writes, 1);
@@ -138,7 +160,7 @@ TEST(MeasurementStore, RoundTripsAndPersistsAcrossSessions) {
   EXPECT_EQ(warm.size(), 1u);
   const auto hit = warm.lookup(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->at("value").as_number(), 0.1 + 0.2);
+  EXPECT_EQ(Json::parse(*hit).at("value").as_number(), 0.1 + 0.2);
 }
 
 TEST(MeasurementStore, FingerprintMismatchInvalidatesTheStaleEntry) {
@@ -259,8 +281,167 @@ TEST(MeasurementStore, ScopesIsolateDriversSharingOneDirectory) {
   a2.open(dir.path(), store::StoreMode::kReadOnly, "driver_a");
   const auto hit = a2.lookup(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->as_number(), 1.0);
+  EXPECT_EQ(Json::parse(*hit).as_number(), 1.0);
   EXPECT_EQ(a2.stats().invalidated, 0);
+}
+
+// A line the store appends is exactly the line Json writes for the
+// {task, fp, payload} object, so stores stay byte-compatible both ways.
+TEST(MeasurementStore, AppendedLineIsByteIdenticalToTheJsonBuiltLine) {
+  TempDir dir("golden");
+  Json payload = Json::object();
+  payload["samples"] = Json(Json::Array{Json(0.1 + 0.2), Json(1e300),
+                                        Json(-2.5e-8), Json(24)});
+  payload["nested"]["name"] = "quote \" backslash \\ tab \t";
+  payload["empty"] = Json::object();
+  payload["flag"] = true;
+  payload["none"] = nullptr;
+  const std::string task = "engine/Lulesh \"v2\"/run-0";
+  const std::uint64_t fp = 0x00f0e1d2c3b4a596ULL;
+  {
+    store::MeasurementStore s;
+    s.open(dir.path(), store::StoreMode::kReadWrite, "scope");
+    s.insert({task, fp}, payload);
+    // The index answers with the payload's bytes inside that line.
+    const auto hit = s.lookup({task, fp});
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, payload.dump(-1));
+  }
+  Json line = Json::object();
+  line["task"] = "scope/" + task;
+  line["fp"] = Fingerprint::to_hex(fp);
+  line["payload"] = payload;
+  std::ifstream is(dir.file(), std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(is)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, line.dump(-1) + '\n');
+}
+
+// A view handed out by lookup() stays readable while other threads
+// invalidate and replace the same task, for entries loaded at open and
+// entries inserted since.
+TEST(MeasurementStore, ViewSurvivesConcurrentInvalidationAndReplacement) {
+  TempDir dir("views");
+  const auto payload_for = [](int version) {
+    Json payload = Json::object();
+    payload["version"] = version;
+    payload["values"] = Json(Json::Array(64, Json(0.5 + version)));
+    return payload.dump(-1);
+  };
+  {
+    store::MeasurementStore writer(dir.path(), store::StoreMode::kReadWrite);
+    writer.insert({"task/loaded", 1}, Json::parse(payload_for(1)));
+  }
+  store::MeasurementStore s(dir.path(), store::StoreMode::kReadWrite);
+  s.insert({"task/inserted", 1}, Json::parse(payload_for(1)));
+  const auto loaded = s.lookup({"task/loaded", 1});
+  const auto inserted = s.lookup({"task/inserted", 1});
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_TRUE(inserted.has_value());
+  const std::string expected = payload_for(1);
+
+  constexpr int kRounds = 200;
+  std::thread churn([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      const std::uint64_t stale = 2 + static_cast<std::uint64_t>(round);
+      for (const char* task : {"task/loaded", "task/inserted"}) {
+        // The stale fingerprint invalidates; the insert replaces.
+        EXPECT_FALSE(s.lookup({task, stale}).has_value());
+        s.insert({task, stale + 1000}, Json::parse(payload_for(round + 2)));
+      }
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    EXPECT_EQ(*loaded, expected);
+    EXPECT_EQ(*inserted, expected);
+    // Whatever the current entry is, its view decodes.
+    for (const char* task : {"task/loaded", "task/inserted"}) {
+      for (std::uint64_t fp = 1002; fp < 1005; ++fp) {
+        if (const auto now = s.lookup({task, fp})) {
+          EXPECT_TRUE(Json::parse(*now).contains("version"));
+        }
+      }
+    }
+  }
+  churn.join();
+  EXPECT_EQ(*loaded, expected);
+  EXPECT_EQ(*inserted, expected);
+}
+
+// A writer killed mid-append leaves a torn last line. Opening the store rw
+// cuts it off before appending, so the next entry is not glued onto it,
+// and one warm rerun reaches zero misses.
+TEST(MeasurementStore, TornTailIsRepairedSoOneWarmRerunHasZeroMisses) {
+  TempDir dir("torn");
+  model::AcquisitionOptions opts;
+  opts.thread_counts = {24};
+  opts.cf_stride = 4;
+  opts.ucf_stride = 4;
+  opts.phase_iterations = 2;
+  opts.jobs = 1;
+  const std::vector<workload::Benchmark> benchmarks{
+      workload::BenchmarkSuite::by_name("Lulesh"),
+      workload::BenchmarkSuite::by_name("Mcb")};
+  const auto acquire = [&](store::MeasurementStore& store) {
+    auto node = test_node();
+    opts.store = &store;
+    model::DataAcquisition acquisition(node, opts);
+    return samples_text(acquisition.acquire(benchmarks));
+  };
+
+  std::string cold;
+  {
+    store::MeasurementStore s(dir.path(), store::StoreMode::kReadWrite);
+    cold = acquire(s);
+    ASSERT_FALSE(cold.empty());
+    ASSERT_EQ(s.stats().writes, 2);
+  }
+  // Chop the second (last) line in the middle of its payload.
+  const auto full = fs::file_size(dir.file());
+  std::string first_line;
+  {
+    std::ifstream is(dir.file());
+    ASSERT_TRUE(std::getline(is, first_line));
+  }
+  const auto first_size = first_line.size() + 1;
+  const auto torn = first_size + (full - first_size) / 2;
+  fs::resize_file(dir.file(), torn);
+
+  // ro never writes: the torn line is rejected and the file left alone.
+  {
+    std::ostringstream log_sink;
+    log::set_sink(&log_sink);
+    store::MeasurementStore ro(dir.path(), store::StoreMode::kReadOnly);
+    log::set_sink(nullptr);
+    EXPECT_EQ(ro.stats().rejected, 1);
+    EXPECT_EQ(ro.stats().repaired, 0);
+    EXPECT_EQ(fs::file_size(dir.file()), torn);
+  }
+  {
+    std::ostringstream log_sink;
+    log::set_sink(&log_sink);
+    store::MeasurementStore rw(dir.path(), store::StoreMode::kReadWrite);
+    log::set_sink(nullptr);
+    EXPECT_NE(log_sink.str().find("repairing torn tail"), std::string::npos);
+    EXPECT_EQ(rw.stats().repaired, 1);
+    EXPECT_EQ(rw.stats().rejected, 0);
+    EXPECT_EQ(rw.size(), 1u);
+    EXPECT_EQ(fs::file_size(dir.file()), first_size);
+    const std::string summary = rw.summary();
+    EXPECT_EQ(summary.substr(summary.size() - 11), " repaired=1");
+    EXPECT_EQ(acquire(rw), cold);  // the lost sweep is simulated again
+    EXPECT_EQ(rw.stats().hits, 1);
+    EXPECT_EQ(rw.stats().misses, 1);
+    EXPECT_EQ(rw.stats().writes, 1);
+  }
+  store::MeasurementStore warm(dir.path(), store::StoreMode::kReadWrite);
+  EXPECT_EQ(acquire(warm), cold);
+  const store::StoreStats stats = warm.stats();
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.writes, 0);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.repaired, 0);
+  EXPECT_EQ(stats.hits, 2);
 }
 
 // --- Cold vs warm equivalence, consumer by consumer -----------------------
@@ -509,6 +690,59 @@ TEST(WarmRestart, DataAcquisitionReplaysBitIdentically) {
   }
 }
 
+// An acquisition payload that is structurally valid JSON (open() indexes
+// it) but no longer decodes is logged and re-simulated, giving the cold
+// dataset.
+TEST(WarmRestart, UndecodableAcquisitionPayloadIsResimulated) {
+  TempDir dir("acquire_drift");
+  model::AcquisitionOptions opts;
+  opts.thread_counts = {24};
+  opts.cf_stride = 5;
+  opts.ucf_stride = 5;
+  opts.phase_iterations = 2;
+  opts.jobs = 1;
+  const std::vector<workload::Benchmark> benchmarks{
+      workload::BenchmarkSuite::by_name("Lulesh")};
+
+  store::MeasurementStore cold_store(dir.path(),
+                                     store::StoreMode::kReadWrite);
+  auto cold_node = test_node();
+  opts.store = &cold_store;
+  model::DataAcquisition cold_acq(cold_node, opts);
+  const auto cold = cold_acq.acquire(benchmarks);
+
+  {
+    std::ifstream is(dir.file());
+    std::string text((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
+    is.close();
+    const auto pos = text.find("\"normalized_time\"");
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, 17, "\"normalizedXtime\"");
+    std::ofstream os(dir.file(), std::ios::trunc);
+    os << text;
+  }
+
+  std::ostringstream log_sink;
+  log::set_sink(&log_sink);
+  store::MeasurementStore warm_store(dir.path(),
+                                     store::StoreMode::kReadWrite);
+  auto warm_node = test_node();
+  opts.store = &warm_store;
+  model::DataAcquisition warm_acq(warm_node, opts);
+  const auto warm = warm_acq.acquire(benchmarks);
+  log::set_sink(nullptr);
+
+  EXPECT_EQ(warm_store.stats().rejected, 0);
+  EXPECT_EQ(warm_store.stats().writes, 1);
+  EXPECT_NE(log_sink.str().find("undecodable cache payload"),
+            std::string::npos);
+  ASSERT_FALSE(cold.samples.empty());
+  EXPECT_EQ(samples_text(warm), samples_text(cold));
+  EXPECT_EQ(warm_acq.runs_performed(), cold_acq.runs_performed());
+  EXPECT_EQ(warm_node.now().value(), cold_node.now().value());
+}
+
 TEST(WarmRestart, SavingsEvaluatorReplaysRowsBitIdentically) {
   TempDir dir("savings");
   // Small trained model: strided acquisition over two benchmarks.
@@ -582,9 +816,11 @@ TEST(Serdes, MeasurementAndConfigRoundTripBitExactly) {
   m.cpu_energy = Joules(0.1 + 0.2);
   m.time = Seconds(1e-9 / 3.0);
   m.count = 42;
-  // Through text: the payload survives a dump/parse cycle, as on disk.
-  const Json reparsed = Json::parse(ptf::to_json(m).dump(-1));
-  const auto back = ptf::measurement_from_json(reparsed);
+  // Through text: the payload is read back from its bytes, as on disk.
+  const std::string text = ptf::to_json(m).dump(-1);
+  JsonReader reader(text);
+  const auto back = ptf::read_measurement(reader);
+  reader.end();
   EXPECT_EQ(back.node_energy.value(), m.node_energy.value());
   EXPECT_EQ(back.cpu_energy.value(), m.cpu_energy.value());
   EXPECT_EQ(back.time.value(), m.time.value());

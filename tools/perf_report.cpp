@@ -417,7 +417,7 @@ double bench_store_s16_t16(const Options& o) { return bench_store_lookup(o, 16, 
 
 // --- measurement-store open --------------------------------------------
 //
-// Opening the store parses every line of measurements.jsonl, which is what
+// Opening the store validates every line of measurements.jsonl, which is what
 // a warm session pays before its first lookup. The synthetic store mimics
 // a warm full-suite store: acquisition-sweep entries (samples with nine
 // features and three normalized labels each) of about 300 KB per line.
