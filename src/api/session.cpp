@@ -6,9 +6,8 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/logging.hpp"
 #include "common/parallel.hpp"
-#include "store/cached_row.hpp"
+#include "store/cached.hpp"
 
 namespace ecotune::api {
 namespace {
@@ -99,24 +98,18 @@ const model::EnergyModel& Session::train_model() {
 
   // The trained model is a store entry. Every dispatch level trains the
   // same bits, so one entry serves them all.
-  store::MeasurementKey key;
-  if (store_.enabled()) {
-    key.task = "model";
-    key.fingerprint = model_fingerprint(dataset, model_cfg, epochs);
-    if (const auto hit = store_.lookup(key)) {
-      try {
-        model_.emplace(model::EnergyModel::from_json(Json::parse(*hit)));
-        return *model_;
-      } catch (const std::exception& e) {
-        log::error("api") << "undecodable cache payload for '" << key.task
-                          << "' (" << e.what() << "); retraining the model";
-      }
-    }
-  }
-
-  model_.emplace(model_cfg);
-  model_->train(dataset, epochs);
-  if (store_.enabled()) store_.insert(key, model_->to_json());
+  model_.emplace(store::cached(
+      &store_, "model",
+      [&] { return model_fingerprint(dataset, model_cfg, epochs); },
+      [](std::string_view payload) {
+        return model::EnergyModel::from_json(Json::parse(payload));
+      },
+      [&] {
+        model::EnergyModel trained(model_cfg);
+        trained.train(dataset, epochs);
+        return trained;
+      },
+      [](const model::EnergyModel& trained) { return trained.to_json(); }));
   return *model_;
 }
 
@@ -173,15 +166,29 @@ DtaReport Session::dta_row(const workload::Benchmark& app,
         .add_digest("app", app.fingerprint_digest());
     return fp.digest();
   };
-  return {app.name(), config_.objective(),
-          store::cached_row<core::DtaResult>(
-              &store_, "dta/" + key, "dta", fingerprint, [&] {
-                hwsim::NodeSimulator node = tuning_node_.clone(key);
-                const Seconds t0 = node.now();
-                core::DtaResult result =
-                    core::DvfsUfsPlugin(trained, po).run_dta(app, node);
-                return std::pair{std::move(result), node.now() - t0};
-              })};
+  // The payload is {"dta": result, "elapsed": seconds}; "elapsed" is
+  // unread, and kept so the payload stays readable by older builds.
+  using Row = std::pair<core::DtaResult, Seconds>;
+  Row row = store::cached(
+      &store_, "dta/" + key, fingerprint,
+      [](std::string_view payload) {
+        return Row{core::DtaResult::from_json(Json::parse(payload).at("dta")),
+                   Seconds{0}};
+      },
+      [&] {
+        hwsim::NodeSimulator node = tuning_node_.clone(key);
+        const Seconds t0 = node.now();
+        core::DtaResult result =
+            core::DvfsUfsPlugin(trained, po).run_dta(app, node);
+        return Row{std::move(result), node.now() - t0};
+      },
+      [](const Row& computed) {
+        Json payload = Json::object();
+        payload["dta"] = computed.first.to_json();
+        payload["elapsed"] = computed.second.value();
+        return payload;
+      });
+  return {app.name(), config_.objective(), std::move(row.first)};
 }
 
 DtaReport Session::run_dta(const workload::Benchmark& app,

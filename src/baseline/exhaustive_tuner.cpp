@@ -5,10 +5,9 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "instr/scorep_runtime.hpp"
-#include "store/measurement_store.hpp"
+#include "store/cached.hpp"
 
 namespace ecotune::baseline {
 namespace {
@@ -70,33 +69,28 @@ ExhaustiveTuningResult ExhaustiveTuner::tune(
     Seconds wall_time{0};
     Seconds elapsed{0};
   };
-  store::MeasurementStore* cache =
-      options_.store != nullptr && options_.store->enabled() ? options_.store
-                                                             : nullptr;
   Fingerprint base_fp;
-  if (cache != nullptr) {
-    base_fp.add_digest("node", node_.state_fingerprint())
-        .add_digest("app", app.fingerprint_digest());
-  }
+  base_fp.add_digest("node", node_.state_fingerprint())
+      .add_digest("app", app.fingerprint_digest());
   const auto outcomes = parallel_map_ordered(
       configs.size(),
       [&](std::size_t i) {
         const std::string noise_key = "exhaustive-tuner-" +
                                       std::to_string(call_tag) + "-" +
                                       std::to_string(i);
-        store::MeasurementKey cache_key;
-        if (cache != nullptr) {
-          Fingerprint fp = base_fp;
-          fp.add("noise_key", noise_key).add("config", configs[i]);
-          cache_key.task =
-              "exhaustive/" + app.name() +
-              (options_.key_scope.empty() ? "" : "/" + options_.key_scope) +
-              "/" + noise_key;
-          cache_key.fingerprint = fp.digest();
-          if (const auto hit = cache->lookup(cache_key)) {
-            try {
+        return store::cached(
+            options_.store,
+            store::scoped_task("exhaustive", app.name(), options_.key_scope,
+                               noise_key),
+            [&] {
+              return Fingerprint(base_fp)
+                  .add("noise_key", noise_key)
+                  .add("config", configs[i])
+                  .digest();
+            },
+            [&](std::string_view payload) {
               RunOutcome out;
-              JsonReader r(*hit);
+              JsonReader r(payload);
               r.begin_object();
               r.key("app");
               out.app = ptf::read_measurement(r);
@@ -115,45 +109,39 @@ ExhaustiveTuningResult ExhaustiveTuner::tune(
               ensure(out.regions.size() == app.regions().size(),
                      "payload covers a different region set");
               return out;
-            } catch (const std::exception& e) {
-              log::error("store")
-                  << "undecodable cache payload for '" << cache_key.task
-                  << "' (" << e.what() << "); re-simulating";
-            }
-          }
-        }
+            },
+            [&] {
+              hwsim::NodeSimulator node = node_.clone(noise_key);
+              const Seconds t0 = node.now();
+              instr::ExecutionContext ctx(node);
+              ctx.apply(configs[i]);
+              RegionCollector collector;
+              instr::ScorepRuntime runtime(
+                  app, instr::InstrumentationFilter::instrument_all());
+              runtime.add_listener(&collector);
+              const auto run = runtime.execute(ctx);
 
-        hwsim::NodeSimulator node = node_.clone(noise_key);
-        const Seconds t0 = node.now();
-        instr::ExecutionContext ctx(node);
-        ctx.apply(configs[i]);
-        RegionCollector collector;
-        instr::ScorepRuntime runtime(
-            app, instr::InstrumentationFilter::instrument_all());
-        runtime.add_listener(&collector);
-        const auto run = runtime.execute(ctx);
-
-        RunOutcome out;
-        out.app.node_energy = run.node_energy;
-        out.app.cpu_energy = run.cpu_energy;
-        out.app.time = run.wall_time;
-        out.app.count = 1;
-        out.regions = collector.measurements();
-        out.wall_time = run.wall_time;
-        out.elapsed = node.now() - t0;
-
-        if (cache != nullptr) {
-          Json payload = Json::object();
-          payload["app"] = ptf::to_json(out.app);
-          Json regions = Json::object();
-          for (const auto& [region, m] : out.regions)
-            regions[region] = ptf::to_json(m);
-          payload["regions"] = std::move(regions);
-          payload["wall_time"] = out.wall_time.value();
-          payload["elapsed"] = out.elapsed.value();
-          cache->insert(cache_key, payload);
-        }
-        return out;
+              RunOutcome out;
+              out.app.node_energy = run.node_energy;
+              out.app.cpu_energy = run.cpu_energy;
+              out.app.time = run.wall_time;
+              out.app.count = 1;
+              out.regions = collector.measurements();
+              out.wall_time = run.wall_time;
+              out.elapsed = node.now() - t0;
+              return out;
+            },
+            [](const RunOutcome& out) {
+              Json payload = Json::object();
+              payload["app"] = ptf::to_json(out.app);
+              Json regions = Json::object();
+              for (const auto& [region, m] : out.regions)
+                regions[region] = ptf::to_json(m);
+              payload["regions"] = std::move(regions);
+              payload["wall_time"] = out.wall_time.value();
+              payload["elapsed"] = out.elapsed.value();
+              return payload;
+            });
       },
       options_.jobs);
 

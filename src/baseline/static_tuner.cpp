@@ -5,10 +5,9 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "instr/scorep_runtime.hpp"
-#include "store/measurement_store.hpp"
+#include "store/cached.hpp"
 
 namespace ecotune::baseline {
 
@@ -44,74 +43,63 @@ StaticTuningResult StaticTuner::tune(const workload::Benchmark& app,
     StaticPoint point;
     Seconds elapsed{0};
   };
-  store::MeasurementStore* cache =
-      options_.store != nullptr && options_.store->enabled() ? options_.store
-                                                             : nullptr;
   Fingerprint base_fp;
-  if (cache != nullptr) {
-    base_fp.add_digest("node", node_.state_fingerprint())
-        .add_digest("app", short_app.fingerprint_digest());
-  }
+  base_fp.add_digest("node", node_.state_fingerprint())
+      .add_digest("app", short_app.fingerprint_digest());
   const auto evaluated = parallel_map_ordered(
       configs.size(),
       [&](std::size_t i) {
         const std::string noise_key = "static-tuner-" +
                                       std::to_string(call_tag) + "-" +
                                       std::to_string(i);
-        Evaluated e;
-        e.point.config = configs[i];
-
-        store::MeasurementKey cache_key;
-        if (cache != nullptr) {
-          Fingerprint fp = base_fp;
-          fp.add("noise_key", noise_key).add("config", configs[i]);
-          cache_key.task =
-              "static/" + app.name() +
-              (options_.key_scope.empty() ? "" : "/" + options_.key_scope) +
-              "/" + noise_key;
-          cache_key.fingerprint = fp.digest();
-          if (const auto hit = cache->lookup(cache_key)) {
-            try {
-              Evaluated cached = e;
-              JsonReader r(*hit);
+        return store::cached(
+            options_.store,
+            store::scoped_task("static", app.name(), options_.key_scope,
+                               noise_key),
+            [&] {
+              return Fingerprint(base_fp)
+                  .add("noise_key", noise_key)
+                  .add("config", configs[i])
+                  .digest();
+            },
+            [&](std::string_view payload) {
+              Evaluated e;
+              e.point.config = configs[i];
+              JsonReader r(payload);
               r.begin_object();
               r.key("cpu_energy");
-              cached.point.cpu_energy = Joules(r.number());
+              e.point.cpu_energy = Joules(r.number());
               r.key("elapsed");
-              cached.elapsed = Seconds(r.number());
+              e.elapsed = Seconds(r.number());
               r.key("node_energy");
-              cached.point.node_energy = Joules(r.number());
+              e.point.node_energy = Joules(r.number());
               r.key("time");
-              cached.point.time = Seconds(r.number());
+              e.point.time = Seconds(r.number());
               r.end_object();
               r.end();
-              return cached;
-            } catch (const std::exception& ex) {
-              log::error("store")
-                  << "undecodable cache payload for '" << cache_key.task
-                  << "' (" << ex.what() << "); re-simulating";
-            }
-          }
-        }
-
-        hwsim::NodeSimulator node = node_.clone(noise_key);
-        const Seconds t0 = node.now();
-        const auto run =
-            instr::run_uninstrumented(short_app, node, e.point.config);
-        e.point.node_energy = run.node_energy;
-        e.point.cpu_energy = run.cpu_energy;
-        e.point.time = run.wall_time;
-        e.elapsed = node.now() - t0;
-
-        if (cache != nullptr) {
-          Json payload = Json::object();
-          payload["node_energy"] = e.point.node_energy.value();
-          payload["cpu_energy"] = e.point.cpu_energy.value();
-          payload["time"] = e.point.time.value();
-          payload["elapsed"] = e.elapsed.value();
-          cache->insert(cache_key, payload);
-        }
-        return e;
+              return e;
+            },
+            [&] {
+              Evaluated e;
+              e.point.config = configs[i];
+              hwsim::NodeSimulator node = node_.clone(noise_key);
+              const Seconds t0 = node.now();
+              const auto run =
+                  instr::run_uninstrumented(short_app, node, e.point.config);
+              e.point.node_energy = run.node_energy;
+              e.point.cpu_energy = run.cpu_energy;
+              e.point.time = run.wall_time;
+              e.elapsed = node.now() - t0;
+              return e;
+            },
+            [](const Evaluated& e) {
+              Json payload = Json::object();
+              payload["node_energy"] = e.point.node_energy.value();
+              payload["cpu_energy"] = e.point.cpu_energy.value();
+              payload["time"] = e.point.time.value();
+              payload["elapsed"] = e.elapsed.value();
+              return payload;
+            });
       },
       options_.jobs);
 

@@ -38,7 +38,7 @@ template <class T>
 }
 
 /// Locale-independent shortest round-trip formatting (the same contract
-/// common/json and common/csv rely on for byte-identical output).
+/// common/json relies on for byte-identical output).
 [[nodiscard]] inline std::string format_double(double value) {
   char buf[64];
   const auto res = std::to_chars(buf, buf + sizeof(buf), value);

@@ -10,7 +10,7 @@
 #include "energymon/sacct.hpp"
 #include "instr/scorep_runtime.hpp"
 #include "readex/rrl.hpp"
-#include "store/cached_row.hpp"
+#include "store/cached.hpp"
 
 namespace ecotune::core {
 
@@ -145,8 +145,16 @@ SavingsRow SavingsEvaluator::evaluate_keyed(
     fp.add("noise_key", noise_key).add_digest("app", app.fingerprint_digest());
     return fp.digest();
   };
-  return store::cached_row<SavingsRow>(
-      options_.store, "savings/" + noise_key, "row", fingerprint, [&] {
+  // The payload is {"elapsed": seconds, "row": row}; "elapsed" is unread,
+  // and kept so the payload stays readable by older builds.
+  using Row = std::pair<SavingsRow, Seconds>;
+  Row row = store::cached(
+      options_.store, "savings/" + noise_key, fingerprint,
+      [](std::string_view payload) {
+        return Row{SavingsRow::from_json(Json::parse(payload).at("row")),
+                   Seconds{0}};
+      },
+      [&] {
         hwsim::NodeSimulator node = node_.clone(noise_key);
         const Seconds t0 = node.now();
         SavingsOptions row_options = options_;
@@ -154,10 +162,17 @@ SavingsRow SavingsEvaluator::evaluate_keyed(
         // static-search and DTA-engine task ids.
         row_options.static_search.key_scope = noise_key;
         row_options.plugin.engine.key_scope = noise_key;
-        SavingsRow row =
+        SavingsRow computed =
             SavingsEvaluator(node, energy_model_, row_options).evaluate(app);
-        return std::pair{std::move(row), node.now() - t0};
+        return Row{std::move(computed), node.now() - t0};
+      },
+      [](const Row& computed) {
+        Json payload = Json::object();
+        payload["row"] = computed.first.to_json();
+        payload["elapsed"] = computed.second.value();
+        return payload;
       });
+  return std::move(row.first);
 }
 
 std::vector<SavingsRow> SavingsEvaluator::evaluate_all(

@@ -6,10 +6,9 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "instr/scorep_runtime.hpp"
-#include "store/measurement_store.hpp"
+#include "store/cached.hpp"
 #include "model/features.hpp"
 #include "pmc/counter_sampler.hpp"
 #include "pmc/event_set.hpp"
@@ -312,35 +311,30 @@ EnergyDataset DataAcquisition::acquire(
     long runs = 0;
     Seconds elapsed{0};
   };
-  store::MeasurementStore* cache =
-      options_.store != nullptr && options_.store->enabled() ? options_.store
-                                                             : nullptr;
   Fingerprint base_fp;
-  if (cache != nullptr) {
-    base_fp.add_digest("node", node_.state_fingerprint())
-        .add_digest("rng", rng_.state_hash());
-    for (int t : options_.thread_counts) base_fp.add("thread_count", t);
-    base_fp.add("cf_stride", options_.cf_stride)
-        .add("ucf_stride", options_.ucf_stride)
-        .add("phase_iterations", options_.phase_iterations)
-        .add("counter_noise", options_.counter_noise)
-        .add("seed", options_.seed);
-  }
+  base_fp.add_digest("node", node_.state_fingerprint())
+      .add_digest("rng", rng_.state_hash());
+  for (int t : options_.thread_counts) base_fp.add("thread_count", t);
+  base_fp.add("cf_stride", options_.cf_stride)
+      .add("ucf_stride", options_.ucf_stride)
+      .add("phase_iterations", options_.phase_iterations)
+      .add("counter_noise", options_.counter_noise)
+      .add("seed", options_.seed);
   auto outcomes = parallel_map_ordered(
       benchmarks.size(),
       [&](std::size_t i) {
         const std::string noise_key = "acquire-" + std::to_string(call_tag) +
                                       "-" + std::to_string(i) + "-" +
                                       benchmarks[i].name();
-        store::MeasurementKey cache_key;
-        if (cache != nullptr) {
-          Fingerprint fp = base_fp;
-          fp.add("noise_key", noise_key)
-              .add_digest("app", benchmarks[i].fingerprint_digest());
-          cache_key.task = "acquire/" + noise_key;
-          cache_key.fingerprint = fp.digest();
-          if (const auto hit = cache->lookup(cache_key)) {
-            try {
+        return store::cached(
+            options_.store, "acquire/" + noise_key,
+            [&] {
+              return Fingerprint(base_fp)
+                  .add("noise_key", noise_key)
+                  .add_digest("app", benchmarks[i].fingerprint_digest())
+                  .digest();
+            },
+            [&](std::string_view payload) {
               // A full sweep yields exactly (thread counts x strided CF x
               // strided UCF) samples; any other size is a payload from
               // another schema or a truncated sweep.
@@ -354,7 +348,7 @@ EnergyDataset DataAcquisition::acquire(
                   strided(spec.core_grid.size(), options_.cf_stride) *
                   strided(spec.uncore_grid.size(), options_.ucf_stride);
               BenchOutcome out;
-              JsonReader r(*hit);
+              JsonReader r(payload);
               r.begin_object();
               r.key("elapsed");
               out.elapsed = Seconds(r.number());
@@ -371,33 +365,27 @@ EnergyDataset DataAcquisition::acquire(
               ensure(out.samples.size() == expected,
                      "payload covers a different sweep");
               return out;
-            } catch (const std::exception& e) {
-              log::error("store")
-                  << "undecodable cache payload for '" << cache_key.task
-                  << "' (" << e.what() << "); re-simulating";
-            }
-          }
-        }
-
-        hwsim::NodeSimulator node = node_.clone(noise_key);
-        DataAcquisition acquisition(node, options_);
-        const Seconds t0 = node.now();
-        BenchOutcome out;
-        out.samples = acquisition.acquire_benchmark(benchmarks[i]);
-        out.runs = acquisition.runs_performed();
-        out.elapsed = node.now() - t0;
-
-        if (cache != nullptr) {
-          Json samples = Json::array();
-          for (const EnergySample& s : out.samples)
-            samples.push_back(sample_to_json(s));
-          Json payload = Json::object();
-          payload["samples"] = std::move(samples);
-          payload["runs"] = static_cast<std::int64_t>(out.runs);
-          payload["elapsed"] = out.elapsed.value();
-          cache->insert(cache_key, payload);
-        }
-        return out;
+            },
+            [&] {
+              hwsim::NodeSimulator node = node_.clone(noise_key);
+              DataAcquisition acquisition(node, options_);
+              const Seconds t0 = node.now();
+              BenchOutcome out;
+              out.samples = acquisition.acquire_benchmark(benchmarks[i]);
+              out.runs = acquisition.runs_performed();
+              out.elapsed = node.now() - t0;
+              return out;
+            },
+            [](const BenchOutcome& out) {
+              Json samples = Json::array();
+              for (const EnergySample& s : out.samples)
+                samples.push_back(sample_to_json(s));
+              Json payload = Json::object();
+              payload["samples"] = std::move(samples);
+              payload["runs"] = static_cast<std::int64_t>(out.runs);
+              payload["elapsed"] = out.elapsed.value();
+              return payload;
+            });
       },
       options_.jobs);
 

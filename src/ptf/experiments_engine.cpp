@@ -4,10 +4,9 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/logging.hpp"
 #include "common/numbers.hpp"
 #include "common/parallel.hpp"
-#include "store/measurement_store.hpp"
+#include "store/cached.hpp"
 
 namespace ecotune::ptf {
 
@@ -93,19 +92,14 @@ std::vector<ScenarioResult> ExperimentsEngine::run(
   // extends a copy with its slice and noise key. The job count stays out of
   // the fingerprint on purpose: chunking and noise keys are jobs-invariant,
   // so a cache written at --jobs 1 answers a --jobs N run and vice versa.
-  store::MeasurementStore* cache =
-      options_.store != nullptr && options_.store->enabled() ? options_.store
-                                                             : nullptr;
   Fingerprint base_fp;
-  if (cache != nullptr) {
-    base_fp.add_digest("node", node_.state_fingerprint())
-        .add_digest("app", app_.fingerprint_digest())
-        .add("base", base)
-        .add("iterations_per_scenario", options_.iterations_per_scenario)
-        .add("measurement_noise", options_.measurement_noise)
-        .add("seed", options_.seed)
-        .add("filter", filter_.to_filter_file());
-  }
+  base_fp.add_digest("node", node_.state_fingerprint())
+      .add_digest("app", app_.fingerprint_digest())
+      .add("base", base)
+      .add("iterations_per_scenario", options_.iterations_per_scenario)
+      .add("measurement_noise", options_.measurement_noise)
+      .add("seed", options_.seed)
+      .add("filter", filter_.to_filter_file());
 
   struct ChunkOutcome {
     std::map<std::int64_t, ScenarioResult> buckets;
@@ -131,25 +125,23 @@ std::vector<ScenarioResult> ExperimentsEngine::run(
           out.buckets.emplace(id, std::move(r));
         }
 
-        store::MeasurementKey cache_key;
-        if (cache != nullptr) {
-          Fingerprint fp = base_fp;
-          fp.add("chunk_key", key);
-          for (const auto& [id, config] : slice)
-            fp.add("slot", static_cast<std::int64_t>(id))
-                .add("slot_config", config);
-          cache_key.task =
-              "engine/" + app_.name() +
-              (options_.key_scope.empty() ? "" : "/" + options_.key_scope) +
-              "/" + key;
-          cache_key.fingerprint = fp.digest();
-          if (const auto hit = cache->lookup(cache_key)) {
-            // Decode into a copy: a payload from an older schema revision
-            // must fall back to simulation, not crash the worker or leave
-            // half-filled buckets behind.
-            try {
+        return store::cached(
+            options_.store,
+            store::scoped_task("engine", app_.name(), options_.key_scope,
+                               key),
+            [&] {
+              Fingerprint fp = base_fp;
+              fp.add("chunk_key", key);
+              for (const auto& [id, config] : slice)
+                fp.add("slot", static_cast<std::int64_t>(id))
+                    .add("slot_config", config);
+              return fp.digest();
+            },
+            [&](std::string_view payload) {
+              // Decode into a copy, so a payload that fails halfway leaves
+              // no half-filled buckets behind for the simulation.
               ChunkOutcome cached = out;
-              JsonReader reader(*hit);
+              JsonReader reader(payload);
               reader.begin_object();
               reader.key("buckets");
               reader.begin_object();
@@ -179,46 +171,40 @@ std::vector<ScenarioResult> ExperimentsEngine::run(
               ensure(decoded == cached.buckets.size(),
                      "payload covers a different scenario set");
               return cached;
-            } catch (const std::exception& e) {
-              log::error("store")
-                  << "undecodable cache payload for '" << cache_key.task
-                  << "' (" << e.what() << "); re-simulating";
-            }
-          }
-        }
-
-        hwsim::NodeSimulator node = node_.clone(key);
-        Rng rng = rng_.fork(key);
-        const Seconds t0 = node.now();
-        // Shorten the app so the run ends when its slice is exhausted.
-        const workload::Benchmark run_app =
-            app_.with_iterations(static_cast<int>(chunk.size));
-        instr::ExecutionContext ctx(node);
-        ctx.apply(base);
-        ScenarioScheduler scheduler(ctx, slice, out.buckets, rng,
-                                    options_.measurement_noise);
-        instr::ScorepRuntime runtime(run_app, filter_);
-        runtime.add_listener(&scheduler);
-        runtime.execute(ctx);
-        out.elapsed = node.now() - t0;
-
-        if (cache != nullptr) {
-          Json buckets = Json::object();
-          for (const auto& [id, r] : out.buckets) {
-            Json bucket = Json::object();
-            bucket["phase"] = to_json(r.phase);
-            Json regions = Json::object();
-            for (const auto& [region, m] : r.regions)
-              regions[region] = to_json(m);
-            bucket["regions"] = std::move(regions);
-            buckets[std::to_string(id)] = std::move(bucket);
-          }
-          Json payload = Json::object();
-          payload["elapsed"] = out.elapsed.value();
-          payload["buckets"] = std::move(buckets);
-          cache->insert(cache_key, payload);
-        }
-        return out;
+            },
+            [&] {
+              hwsim::NodeSimulator node = node_.clone(key);
+              Rng rng = rng_.fork(key);
+              const Seconds t0 = node.now();
+              // Shorten the app so the run ends when its slice is exhausted.
+              const workload::Benchmark run_app =
+                  app_.with_iterations(static_cast<int>(chunk.size));
+              instr::ExecutionContext ctx(node);
+              ctx.apply(base);
+              ScenarioScheduler scheduler(ctx, slice, out.buckets, rng,
+                                          options_.measurement_noise);
+              instr::ScorepRuntime runtime(run_app, filter_);
+              runtime.add_listener(&scheduler);
+              runtime.execute(ctx);
+              out.elapsed = node.now() - t0;
+              return std::move(out);
+            },
+            [](const ChunkOutcome& out) {
+              Json buckets = Json::object();
+              for (const auto& [id, r] : out.buckets) {
+                Json bucket = Json::object();
+                bucket["phase"] = to_json(r.phase);
+                Json regions = Json::object();
+                for (const auto& [region, m] : r.regions)
+                  regions[region] = to_json(m);
+                bucket["regions"] = std::move(regions);
+                buckets[std::to_string(id)] = std::move(bucket);
+              }
+              Json payload = Json::object();
+              payload["elapsed"] = out.elapsed.value();
+              payload["buckets"] = std::move(buckets);
+              return payload;
+            });
       },
       options_.jobs);
 

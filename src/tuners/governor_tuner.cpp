@@ -5,10 +5,9 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/logging.hpp"
 #include "instr/execution_context.hpp"
 #include "instr/scorep_runtime.hpp"
-#include "store/measurement_store.hpp"
+#include "store/cached.hpp"
 #include "store/serdes.hpp"
 
 namespace ecotune::tuners {
@@ -131,97 +130,105 @@ TuningOutcome GovernorTuner::tune(const TuningRequest& request) {
   const std::string noise_key = "governor-" + std::string(name()) + "-" +
                                 std::to_string(call_tag);
 
-  store::MeasurementStore* cache =
-      options_.store != nullptr && options_.store->enabled() ? options_.store
-                                                             : nullptr;
-  store::MeasurementKey cache_key;
-  if (cache != nullptr) {
-    Fingerprint fp;
-    fp.add_digest("node", node_.state_fingerprint())
-        .add_digest("app", request.app.fingerprint_digest())
-        .add("policy", to_string(policy_))
-        .add("up_threshold", options_.up_threshold)
-        .add("down_threshold", options_.down_threshold)
-        .add("freq_step", options_.freq_step)
-        .add("noise_key", noise_key);
-    cache_key.task =
-        "governor/" + std::string(name()) + "/" + request.app.name() +
-        (options_.key_scope.empty() ? "" : "/" + options_.key_scope) + "/" +
-        noise_key;
-    cache_key.fingerprint = fp.digest();
-    if (const auto hit = cache->lookup(cache_key)) {
-      try {
-        JsonReader r(*hit);
+  // What one governed run yields; its clone's simulated time goes back to
+  // the parent timeline whether it was simulated or replayed.
+  struct GovernedRun {
+    SystemConfig best;
+    ptf::Measurement m;
+    long scenarios = 0;
+    Seconds tuning_time{0};
+    Seconds elapsed{0};
+  };
+  const GovernedRun run = store::cached(
+      options_.store,
+      store::scoped_task("governor/" + std::string(name()),
+                         request.app.name(), options_.key_scope, noise_key),
+      [&] {
+        return Fingerprint()
+            .add_digest("node", node_.state_fingerprint())
+            .add_digest("app", request.app.fingerprint_digest())
+            .add("policy", to_string(policy_))
+            .add("up_threshold", options_.up_threshold)
+            .add("down_threshold", options_.down_threshold)
+            .add("freq_step", options_.freq_step)
+            .add("noise_key", noise_key)
+            .digest();
+      },
+      [](std::string_view payload) {
+        GovernedRun run;
+        JsonReader r(payload);
         r.begin_object();
         r.key("best");
-        out.best = store::config_from_json(r.value());
+        run.best = store::config_from_json(r.value());
         r.key("elapsed");
-        const Seconds elapsed(r.number());
+        run.elapsed = Seconds(r.number());
         r.key("m");
-        out.best_measurement = ptf::read_measurement(r);
+        run.m = ptf::read_measurement(r);
         r.key("scenarios");
-        out.scenarios_evaluated = static_cast<long>(r.number());
+        run.scenarios = static_cast<long>(r.number());
         r.key("tuning_time");
-        out.tuning_time = Seconds(r.number());
+        run.tuning_time = Seconds(r.number());
         r.end_object();
         r.end();
-        out.app_runs = 1;
-        node_.idle(elapsed);
-        return out;
-      } catch (const std::exception& ex) {
-        log::error("store")
-            << "undecodable cache payload for '" << cache_key.task << "' ("
-            << ex.what() << "); re-simulating";
-      }
-    }
-  }
+        return run;
+      },
+      [&] {
+        // One governed run of the full application on a task-keyed clone.
+        // Only the phase region carries probes: the governor samples at
+        // phase boundaries, exactly like a kernel governor's periodic load
+        // sampling.
+        hwsim::NodeSimulator node = node_.clone(noise_key);
+        const auto& spec = node.spec();
+        instr::InstrumentationFilter filter =
+            instr::InstrumentationFilter::instrument_all();
+        for (const auto& region : request.app.regions())
+          filter.exclude(region.name);
 
-  // One governed run of the full application on a task-keyed clone. Only
-  // the phase region carries probes: the governor samples at phase
-  // boundaries, exactly like a kernel governor's periodic load sampling.
-  hwsim::NodeSimulator node = node_.clone(noise_key);
-  const auto& spec = node.spec();
-  instr::InstrumentationFilter filter =
-      instr::InstrumentationFilter::instrument_all();
-  for (const auto& region : request.app.regions()) filter.exclude(region.name);
+        instr::ExecutionContext ctx(node);
+        ctx.apply(SystemConfig{spec.total_cores(), spec.default_core,
+                               spec.default_uncore});
+        instr::ScorepRuntime runtime(request.app, std::move(filter));
+        GovernorListener governor(ctx, policy_, options_);
+        runtime.add_listener(&governor);
 
-  instr::ExecutionContext ctx(node);
-  ctx.apply(SystemConfig{spec.total_cores(), spec.default_core,
-                         spec.default_uncore});
-  instr::ScorepRuntime runtime(request.app, std::move(filter));
-  GovernorListener governor(ctx, policy_, options_);
-  runtime.add_listener(&governor);
+        const Seconds t0 = node.now();
+        runtime.execute(ctx);
+        GovernedRun run;
+        run.elapsed = node.now() - t0;
 
-  const Seconds t0 = node.now();
-  runtime.execute(ctx);
-  const Seconds elapsed = node.now() - t0;
+        // The governor's recommendation is its steady state: the
+        // configuration the run spent the most phase time under
+        // (first-reached wins ties).
+        const auto& residences = governor.residences();
+        ensure(!residences.empty(),
+               "GovernorTuner: the application fired no phase events");
+        const GovernorListener::Residence* best = &residences.front();
+        for (const auto& r : residences) {
+          if (r.m.time.value() > best->m.time.value()) best = &r;
+        }
+        run.best = best->config;
+        run.m = best->m;
+        run.scenarios = static_cast<long>(residences.size());
+        run.tuning_time = run.elapsed;
+        return run;
+      },
+      [](const GovernedRun& run) {
+        Json payload = Json::object();
+        payload["best"] = store::to_json(run.best);
+        payload["m"] = ptf::to_json(run.m);
+        payload["scenarios"] = static_cast<std::int64_t>(run.scenarios);
+        payload["tuning_time"] = run.tuning_time.value();
+        payload["elapsed"] = run.elapsed.value();
+        return payload;
+      });
 
-  // The governor's recommendation is its steady state: the configuration
-  // the run spent the most phase time under (first-reached wins ties).
-  const auto& residences = governor.residences();
-  ensure(!residences.empty(),
-         "GovernorTuner: the application fired no phase events");
-  const GovernorListener::Residence* best = &residences.front();
-  for (const auto& r : residences) {
-    if (r.m.time.value() > best->m.time.value()) best = &r;
-  }
-  out.best = best->config;
-  out.best_measurement = best->m;
-  out.scenarios_evaluated = static_cast<long>(residences.size());
+  out.best = run.best;
+  out.best_measurement = run.m;
+  out.scenarios_evaluated = run.scenarios;
   out.app_runs = 1;
-  out.tuning_time = elapsed;
-
-  if (cache != nullptr) {
-    Json payload = Json::object();
-    payload["best"] = store::to_json(out.best);
-    payload["m"] = ptf::to_json(out.best_measurement);
-    payload["scenarios"] = static_cast<std::int64_t>(out.scenarios_evaluated);
-    payload["tuning_time"] = out.tuning_time.value();
-    payload["elapsed"] = elapsed.value();
-    cache->insert(cache_key, payload);
-  }
+  out.tuning_time = run.tuning_time;
   // Return the clone's simulated time to the parent timeline.
-  node_.idle(elapsed);
+  node_.idle(run.elapsed);
   return out;
 }
 

@@ -9,9 +9,8 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/logging.hpp"
 #include "instr/scorep_runtime.hpp"
-#include "store/measurement_store.hpp"
+#include "store/cached.hpp"
 
 namespace ecotune::tuners {
 namespace {
@@ -162,30 +161,25 @@ TuningOutcome QLearningTuner::tune(const TuningRequest& request) {
   // by (seed, call, episode) alone.
   const Rng call_rng = Rng(options_.seed).fork(call_key);
 
-  store::MeasurementStore* cache =
-      options_.store != nullptr && options_.store->enabled() ? options_.store
-                                                             : nullptr;
+  // The full episode schedule is part of each entry's identity: node
+  // state, app, objective, and every hyperparameter that shapes the
+  // trajectory. A warm run with identical options replays the identical
+  // walk, so each episode's lookup hits.
   Fingerprint base_fp;
-  if (cache != nullptr) {
-    // The full episode schedule is part of each entry's identity: node
-    // state, app, objective, and every hyperparameter that shapes the
-    // trajectory. A warm run with identical options replays the identical
-    // walk, so each episode's lookup hits.
-    base_fp.add_digest("node", node_.state_fingerprint())
-        .add_digest("app", short_app.fingerprint_digest())
-        .add("objective", objective->name())
-        .add("episodes", options_.episodes)
-        .add("alpha", options_.alpha)
-        .add("gamma", options_.gamma)
-        .add("epsilon0", options_.epsilon0)
-        .add("epsilon_decay", options_.epsilon_decay)
-        .add("epsilon_min", options_.epsilon_min)
-        .add("phase_iterations", options_.phase_iterations)
-        .add("cf_step", options_.cf_step)
-        .add("ucf_step", options_.ucf_step)
-        .add("seed", options_.seed);
-    for (int t : options_.thread_counts) base_fp.add("thread_count", t);
-  }
+  base_fp.add_digest("node", node_.state_fingerprint())
+      .add_digest("app", short_app.fingerprint_digest())
+      .add("objective", objective->name())
+      .add("episodes", options_.episodes)
+      .add("alpha", options_.alpha)
+      .add("gamma", options_.gamma)
+      .add("epsilon0", options_.epsilon0)
+      .add("epsilon_decay", options_.epsilon_decay)
+      .add("epsilon_min", options_.epsilon_min)
+      .add("phase_iterations", options_.phase_iterations)
+      .add("cf_step", options_.cf_step)
+      .add("ucf_step", options_.ucf_step)
+      .add("seed", options_.seed);
+  for (int t : options_.thread_counts) base_fp.add("thread_count", t);
 
   std::map<State, QRow> q;
   State state = start;
@@ -224,55 +218,53 @@ TuningOutcome QLearningTuner::tune(const TuningRequest& request) {
     // keyed by (call, episode) -- the same task-identity convention the
     // sweep tuners use, so caching and determinism work identically.
     const std::string noise_key = call_key + "-ep-" + std::to_string(ep);
-    ptf::Measurement m;
-    Seconds elapsed{0};
-    store::MeasurementKey cache_key;
-    bool measured = false;
-    if (cache != nullptr) {
-      Fingerprint fp = base_fp;
-      fp.add("noise_key", noise_key).add("episode", ep).add("config", config);
-      cache_key.task =
-          "qlearn/" + request.app.name() +
-          (options_.key_scope.empty() ? "" : "/" + options_.key_scope) + "/" +
-          noise_key;
-      cache_key.fingerprint = fp.digest();
-      if (const auto hit = cache->lookup(cache_key)) {
-        try {
-          JsonReader r(*hit);
+    struct Episode {
+      ptf::Measurement m;
+      Seconds elapsed{0};
+    };
+    const Episode episode = store::cached(
+        options_.store,
+        store::scoped_task("qlearn", request.app.name(), options_.key_scope,
+                           noise_key),
+        [&] {
+          return Fingerprint(base_fp)
+              .add("noise_key", noise_key)
+              .add("episode", ep)
+              .add("config", config)
+              .digest();
+        },
+        [](std::string_view payload) {
+          Episode e;
+          JsonReader r(payload);
           r.begin_object();
           r.key("elapsed");
-          const Seconds cached_elapsed(r.number());
+          e.elapsed = Seconds(r.number());
           r.key("m");
-          const ptf::Measurement cached = ptf::read_measurement(r);
+          e.m = ptf::read_measurement(r);
           r.end_object();
           r.end();
-          elapsed = cached_elapsed;
-          m = cached;
-          measured = true;
-        } catch (const std::exception& ex) {
-          log::error("store")
-              << "undecodable cache payload for '" << cache_key.task << "' ("
-              << ex.what() << "); re-simulating";
-        }
-      }
-    }
-    if (!measured) {
-      hwsim::NodeSimulator node = node_.clone(noise_key);
-      const Seconds t0 = node.now();
-      const auto run = instr::run_uninstrumented(short_app, node, config);
-      m.node_energy = run.node_energy;
-      m.cpu_energy = run.cpu_energy;
-      m.time = run.wall_time;
-      m.count = 1;
-      elapsed = node.now() - t0;
-      if (cache != nullptr) {
-        Json payload = Json::object();
-        payload["m"] = ptf::to_json(m);
-        payload["elapsed"] = elapsed.value();
-        cache->insert(cache_key, payload);
-      }
-    }
-    total += elapsed;
+          return e;
+        },
+        [&] {
+          hwsim::NodeSimulator node = node_.clone(noise_key);
+          const Seconds t0 = node.now();
+          const auto run = instr::run_uninstrumented(short_app, node, config);
+          Episode e;
+          e.m.node_energy = run.node_energy;
+          e.m.cpu_energy = run.cpu_energy;
+          e.m.time = run.wall_time;
+          e.m.count = 1;
+          e.elapsed = node.now() - t0;
+          return e;
+        },
+        [](const Episode& e) {
+          Json payload = Json::object();
+          payload["m"] = ptf::to_json(e.m);
+          payload["elapsed"] = e.elapsed.value();
+          return payload;
+        });
+    const ptf::Measurement& m = episode.m;
+    total += episode.elapsed;
 
     const double score = objective->evaluate(m);
     if (!have_ref) {

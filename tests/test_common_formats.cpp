@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/config.hpp"
-#include "common/csv.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
 
@@ -45,21 +44,6 @@ TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::num(-1.0, 0), "-1");
   EXPECT_EQ(TextTable::pct(5.2, 1), "+5.2%");
   EXPECT_EQ(TextTable::pct(-7.83, 2), "-7.83%");
-}
-
-TEST(CsvWriter, QuotesOnlyWhenNeeded) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.row({"plain", "with,comma", "with\"quote", "with\nnewline"});
-  EXPECT_EQ(os.str(),
-            "plain,\"with,comma\",\"with\"\"quote\",\"with\nnewline\"\n");
-}
-
-TEST(CsvWriter, NumericRow) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.row_numeric({1.5, 2.0, -3.25});
-  EXPECT_EQ(os.str(), "1.5,2,-3.25\n");
 }
 
 TEST(Logging, RespectsLevelAndSink) {

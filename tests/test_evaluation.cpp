@@ -7,24 +7,28 @@
 namespace ecotune::core {
 namespace {
 
-/// One trained model shared by the evaluation tests.
+/// One trained model shared by the evaluation tests. Each test measures on
+/// its own clone of the training node, keyed by the test's name, so no test
+/// sees a clock or noise stream that an earlier test advanced: the results
+/// do not depend on which tests ran before in the same process.
 class EvaluationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    node_ = new hwsim::NodeSimulator(hwsim::haswell_ep_spec(), 0, Rng(3));
-    node_->set_jitter(0.001);
+    train_node_ =
+        new hwsim::NodeSimulator(hwsim::haswell_ep_spec(), 0, Rng(3));
+    train_node_->set_jitter(0.001);
     model::AcquisitionOptions opts;
     opts.phase_iterations = 2;
-    model::DataAcquisition acq(*node_, opts);
+    model::DataAcquisition acq(*train_node_, opts);
     trained_ = new model::EnergyModel();
     trained_->train(acq.acquire(workload::BenchmarkSuite::training_set()),
                     10);
   }
   static void TearDownTestSuite() {
     delete trained_;
-    delete node_;
+    delete train_node_;
     trained_ = nullptr;
-    node_ = nullptr;
+    train_node_ = nullptr;
   }
 
   static SavingsOptions fast_options() {
@@ -36,15 +40,18 @@ class EvaluationTest : public ::testing::Test {
     return opts;
   }
 
-  static hwsim::NodeSimulator* node_;
+  static hwsim::NodeSimulator* train_node_;
   static model::EnergyModel* trained_;
+
+  hwsim::NodeSimulator node_ = train_node_->clone(
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
 };
 
-hwsim::NodeSimulator* EvaluationTest::node_ = nullptr;
+hwsim::NodeSimulator* EvaluationTest::train_node_ = nullptr;
 model::EnergyModel* EvaluationTest::trained_ = nullptr;
 
 TEST_F(EvaluationTest, RowIsInternallyConsistent) {
-  SavingsEvaluator evaluator(*node_, *trained_, fast_options());
+  SavingsEvaluator evaluator(node_, *trained_, fast_options());
   const auto row = evaluator.evaluate(
       workload::BenchmarkSuite::by_name("Lulesh").with_iterations(6));
 
@@ -66,7 +73,7 @@ TEST_F(EvaluationTest, RowIsInternallyConsistent) {
 }
 
 TEST_F(EvaluationTest, StaticConfigComesFromSearch) {
-  SavingsEvaluator evaluator(*node_, *trained_, fast_options());
+  SavingsEvaluator evaluator(node_, *trained_, fast_options());
   const auto row = evaluator.evaluate(
       workload::BenchmarkSuite::by_name("miniMD").with_iterations(6));
   // The static search explores {16,24} threads at strided frequencies;
@@ -80,12 +87,12 @@ TEST_F(EvaluationTest, StaticConfigComesFromSearch) {
 TEST_F(EvaluationTest, ObjectiveIsForwardedToThePlugin) {
   SavingsOptions opts = fast_options();
   opts.plugin.config.objective = "edp";
-  SavingsEvaluator evaluator(*node_, *trained_, opts);
+  SavingsEvaluator evaluator(node_, *trained_, opts);
   const auto row = evaluator.evaluate(
       workload::BenchmarkSuite::by_name("Mcb").with_iterations(6));
 
   SavingsOptions energy_opts = fast_options();
-  SavingsEvaluator energy_eval(*node_, *trained_, energy_opts);
+  SavingsEvaluator energy_eval(node_, *trained_, energy_opts);
   const auto energy_row = energy_eval.evaluate(
       workload::BenchmarkSuite::by_name("Mcb").with_iterations(6));
 
@@ -94,7 +101,7 @@ TEST_F(EvaluationTest, ObjectiveIsForwardedToThePlugin) {
 }
 
 TEST_F(EvaluationTest, ZeroMeasurementFailsLoudlyInsteadOfNaN) {
-  SavingsEvaluator evaluator(*node_, *trained_, fast_options());
+  SavingsEvaluator evaluator(node_, *trained_, fast_options());
   // A zero-iteration run measures zero time and energy; savings relative to
   // it are undefined and must throw instead of propagating NaN/Inf.
   EXPECT_THROW((void)evaluator.evaluate(
@@ -111,10 +118,10 @@ TEST_F(EvaluationTest, JobCountDoesNotChangeRows) {
       workload::BenchmarkSuite::by_name("Mcb").with_iterations(6)};
 
   opts.jobs = 1;
-  SavingsEvaluator serial_eval(*node_, *trained_, opts);
+  SavingsEvaluator serial_eval(node_, *trained_, opts);
   const auto serial = serial_eval.evaluate_all(apps);
   opts.jobs = 4;
-  SavingsEvaluator wide_eval(*node_, *trained_, opts);
+  SavingsEvaluator wide_eval(node_, *trained_, opts);
   const auto wide = wide_eval.evaluate_all(apps);
 
   ASSERT_EQ(serial.size(), 2u);
@@ -146,8 +153,8 @@ TEST_F(EvaluationTest, MoreRepeatsReduceJitterInReportedSavings) {
       workload::BenchmarkSuite::by_name("BEM4I").with_iterations(5);
   // Evaluate twice per setting; the spread of the averaged estimate must
   // not explode (weak property: both within a plausible band).
-  SavingsEvaluator e1(*node_, *trained_, one);
-  SavingsEvaluator e2(*node_, *trained_, many);
+  SavingsEvaluator e1(node_, *trained_, one);
+  SavingsEvaluator e2(node_, *trained_, many);
   const auto r1 = e1.evaluate(app);
   const auto r2 = e2.evaluate(app);
   EXPECT_NEAR(r1.static_cpu_energy_pct, r2.static_cpu_energy_pct, 5.0);

@@ -1,12 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "model/dataset.hpp"
-#include "model/dataset_io.hpp"
 #include "model/energy_model.hpp"
 #include "model/features.hpp"
 #include "model/regression_model.hpp"
@@ -340,87 +336,6 @@ TEST_F(EnergyModelTest, RegressionBaselineIsWorseThanNetwork) {
   const double reg_mape = reg_sum / folds.size();
   EXPECT_LT(net_mape, reg_mape);
   EXPECT_LT(net_mape, 10.0);
-}
-
-TEST_F(AcquisitionTest, DatasetCsvRoundTrip) {
-  DataAcquisition acq(node_, fast_options());
-  const auto ds = acq.acquire({workload::BenchmarkSuite::by_name("Lulesh"),
-                               workload::BenchmarkSuite::by_name("Mcb")});
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ecotune_ds_test.csv")
-          .string();
-  save_dataset_csv(ds, path);
-  const auto loaded = load_dataset_csv(path);
-  std::remove(path.c_str());
-
-  ASSERT_EQ(loaded.samples.size(), ds.samples.size());
-  EXPECT_EQ(loaded.feature_names, ds.feature_names);
-  for (std::size_t i = 0; i < ds.samples.size(); ++i) {
-    EXPECT_EQ(loaded.samples[i].benchmark, ds.samples[i].benchmark);
-    EXPECT_EQ(loaded.samples[i].threads, ds.samples[i].threads);
-    EXPECT_EQ(loaded.samples[i].cf, ds.samples[i].cf);
-    EXPECT_EQ(loaded.samples[i].ucf, ds.samples[i].ucf);
-    EXPECT_DOUBLE_EQ(loaded.samples[i].normalized_energy,
-                     ds.samples[i].normalized_energy);
-    for (std::size_t f = 0; f < ds.samples[i].features.size(); ++f)
-      EXPECT_DOUBLE_EQ(loaded.samples[i].features[f],
-                       ds.samples[i].features[f]);
-  }
-}
-
-TEST(DatasetIo, RejectsMalformedFiles) {
-  EXPECT_THROW((void)load_dataset_csv("/nonexistent/file.csv"), Error);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ecotune_bad.csv").string();
-  {
-    std::ofstream os(path);
-    os << "not,a,dataset\n1,2,3\n";
-  }
-  EXPECT_THROW((void)load_dataset_csv(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIo, AcceptsCrlfLineEndings) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ecotune_crlf.csv").string();
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "benchmark,threads,cf_mhz,ucf_mhz,f1,f2,f3,f4,"
-          "normalized_energy,normalized_power,normalized_time\r\n"
-       << "Lulesh,24,2500,3000,1.5,2.5,3.5,4.5,0.9,1.1,0.8\r\n";
-  }
-  const auto ds = load_dataset_csv(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(ds.samples.size(), 1u);
-  EXPECT_EQ(ds.samples[0].benchmark, "Lulesh");
-  EXPECT_EQ(ds.samples[0].threads, 24);
-  EXPECT_EQ(ds.feature_names,
-            (std::vector<std::string>{"f1", "f2", "f3", "f4"}));
-  EXPECT_DOUBLE_EQ(ds.samples[0].normalized_time, 0.8);
-}
-
-TEST(DatasetIo, MalformedCellReportsFileRowAndColumn) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ecotune_badcell.csv")
-          .string();
-  {
-    std::ofstream os(path);
-    os << "benchmark,threads,cf_mhz,ucf_mhz,f1,f2,f3,f4,"
-          "normalized_energy,normalized_power,normalized_time\n"
-       << "Lulesh,24,2500,3000,1.5,2.5,3.5,4.5,0.9,1.1,0.8\n"
-       << "Lulesh,24,2500,3000,1.5,oops,3.5,4.5,0.9,1.1,0.8\n";
-  }
-  try {
-    (void)load_dataset_csv(path);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find(":3"), std::string::npos) << what;      // row
-    EXPECT_NE(what.find("'f2'"), std::string::npos) << what;    // column
-    EXPECT_NE(what.find("'oops'"), std::string::npos) << what;  // cell
-  }
-  std::remove(path.c_str());
 }
 
 TEST(RegressionEnergyModel, PredictsProductOfLinearModels) {

@@ -3,19 +3,24 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 
+#include "api/session.hpp"
 #include "baseline/exhaustive_tuner.hpp"
 #include "baseline/static_tuner.hpp"
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
 #include "common/logging.hpp"
+#include "common/numbers.hpp"
 #include "core/evaluation.hpp"
 #include "model/dataset.hpp"
 #include "ptf/experiments_engine.hpp"
 #include "store/measurement_store.hpp"
 #include "store/serdes.hpp"
+#include "tuners/governor_tuner.hpp"
+#include "tuners/qlearning_tuner.hpp"
 #include "workload/suite.hpp"
 
 namespace ecotune {
@@ -806,6 +811,200 @@ TEST(WarmRestart, SavingsEvaluatorReplaysRowsBitIdentically) {
   EXPECT_EQ(w.dta.app_runs, c.dta.app_runs);
   EXPECT_EQ(w.dta.tuning_model.to_json().dump(-1),
             c.dta.tuning_model.to_json().dump(-1));
+}
+
+// Rewrites the payload of every entry whose task starts with `prefix` to
+// `{}`, keeping its envelope (task, fingerprint) valid so the entry loads
+// and hits, and returns the rewritten tasks.
+std::vector<std::string> blank_payloads(const std::string& file,
+                                        const std::string& prefix) {
+  std::vector<std::string> lines;
+  std::vector<std::string> tasks;
+  {
+    std::ifstream is(file);
+    for (std::string line; std::getline(is, line);) {
+      Json entry = Json::parse(line);
+      const std::string task = entry.at("task").as_string();
+      if (task.starts_with(prefix)) {
+        entry["payload"] = Json::object();
+        line = entry.dump(-1);
+        tasks.push_back(task);
+      }
+      lines.push_back(std::move(line));
+    }
+  }
+  std::ofstream os(file, std::ios::trunc);
+  for (const auto& line : lines) os << line << '\n';
+  return tasks;
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size()))
+    ++n;
+  return n;
+}
+
+// Every entry kind that caches through store::cached falls back the same
+// way: a payload that no longer decodes is logged once by task, recomputed
+// to the cold result, and written again. (Static points, acquisition
+// sweeps and the model have their own fallback tests.)
+TEST(WarmRestart, EveryEntryKindRecomputesAnUndecodablePayload) {
+  // Small trained model for the DTA and savings rows.
+  auto train_node = test_node(0, 7);
+  model::AcquisitionOptions acq_opts;
+  acq_opts.thread_counts = {24};
+  acq_opts.cf_stride = 3;
+  acq_opts.ucf_stride = 3;
+  acq_opts.phase_iterations = 2;
+  model::DataAcquisition acq(train_node, acq_opts);
+  model::EnergyModel trained;
+  trained.train(acq.acquire({workload::BenchmarkSuite::by_name("Lulesh"),
+                             workload::BenchmarkSuite::by_name("Mcb")}),
+                2);
+
+  const auto lulesh =
+      workload::BenchmarkSuite::by_name("Lulesh").with_iterations(4);
+  const auto mcb = workload::BenchmarkSuite::by_name("Mcb").with_iterations(4);
+
+  // One run of a kind's consumer on a fresh node: its exact output text
+  // (with the node clock it left behind) and the entries it wrote.
+  struct Run {
+    std::string output;
+    long writes = 0;
+  };
+  using Body = std::function<std::string(store::MeasurementStore&,
+                                         hwsim::NodeSimulator&)>;
+  const auto on_store = [](Body body) {
+    return [body](const std::string& dir) {
+      store::MeasurementStore store(dir, store::StoreMode::kReadWrite);
+      auto node = test_node();
+      std::string output = body(store, node);
+      output += " now=" + format_double(node.now().value());
+      return Run{std::move(output), store.stats().writes};
+    };
+  };
+  struct Kind {
+    std::string prefix;  ///< task prefix of the kind's entries
+    std::function<Run(const std::string& dir)> run;
+  };
+  const std::vector<Kind> kinds{
+      {"engine/",
+       on_store([&](store::MeasurementStore& store,
+                    hwsim::NodeSimulator& node) {
+         std::vector<ptf::Scenario> scenarios;
+         scenarios.push_back(ptf::config_to_scenario(
+             0, SystemConfig{24, CoreFreq::mhz(2500), UncoreFreq::mhz(3000)}));
+         scenarios.push_back(ptf::config_to_scenario(
+             1, SystemConfig{16, CoreFreq::mhz(1800), UncoreFreq::mhz(2200)}));
+         ptf::EngineOptions opts;
+         opts.iterations_per_scenario = 2;
+         opts.store = &store;
+         ptf::ExperimentsEngine engine(
+             node, lulesh, instr::InstrumentationFilter::instrument_all(),
+             opts);
+         const SystemConfig base{24, CoreFreq::mhz(2000),
+                                 UncoreFreq::mhz(1500)};
+         Json all = Json::array();
+         for (const auto& r : engine.run(scenarios, base)) {
+           Json j = Json::object();
+           j["id"] = r.scenario.id;
+           j["config"] = store::to_json(r.config);
+           j["phase"] = ptf::to_json(r.phase);
+           Json regions = Json::object();
+           for (const auto& [region, m] : r.regions)
+             regions[region] = ptf::to_json(m);
+           j["regions"] = std::move(regions);
+           all.push_back(std::move(j));
+         }
+         return all.dump(-1) + " runs=" + std::to_string(engine.app_runs());
+       })},
+      {"exhaustive/",
+       on_store([&](store::MeasurementStore& store,
+                    hwsim::NodeSimulator& node) {
+         baseline::ExhaustiveTunerOptions opts;
+         opts.thread_counts = {24};
+         opts.cf_stride = 5;
+         opts.ucf_stride = 5;
+         opts.store = &store;
+         return baseline::ExhaustiveTuner(node, opts)
+             .tune(TuningRequest{mcb})
+             .to_json()
+             .dump(-1);
+       })},
+      {"qlearn/",
+       on_store([&](store::MeasurementStore& store,
+                    hwsim::NodeSimulator& node) {
+         tuners::QLearningOptions opts;
+         opts.episodes = 6;
+         opts.thread_counts = {24};
+         opts.store = &store;
+         return tuners::QLearningTuner(node, opts)
+             .tune(TuningRequest{lulesh})
+             .to_json()
+             .dump(-1);
+       })},
+      {"governor/",
+       on_store([&](store::MeasurementStore& store,
+                    hwsim::NodeSimulator& node) {
+         tuners::GovernorOptions opts;
+         opts.store = &store;
+         return tuners::GovernorTuner(node, tuners::GovernorPolicy::kOndemand,
+                                      opts)
+             .tune(TuningRequest{lulesh})
+             .to_json()
+             .dump(-1);
+       })},
+      {"dta/",
+       [&](const std::string& dir) {
+         // A DTA row is a Session entry; the Session opens its own store.
+         api::Session session(api::SessionConfig{}.seed(42).cache(dir));
+         session.use_model(trained);
+         return Run{session.run_dta(lulesh).to_json().dump(-1),
+                    session.store().stats().writes};
+       }},
+      {"savings/",
+       on_store([&](store::MeasurementStore& store,
+                    hwsim::NodeSimulator& node) {
+         core::SavingsOptions opts;
+         opts.repeats = 1;
+         opts.static_search.thread_counts = {24};
+         opts.static_search.cf_stride = 5;
+         opts.static_search.ucf_stride = 5;
+         opts.store = &store;
+         Json rows = Json::array();
+         for (const auto& row :
+              core::SavingsEvaluator(node, trained, opts).evaluate_all({mcb}))
+           rows.push_back(row.to_json());
+         return rows.dump(-1);
+       })},
+  };
+
+  for (const Kind& kind : kinds) {
+    SCOPED_TRACE(kind.prefix);
+    TempDir dir("blank_" + kind.prefix.substr(0, kind.prefix.size() - 1));
+    const Run cold = kind.run(dir.path());
+    const std::vector<std::string> tasks =
+        blank_payloads(dir.file(), kind.prefix);
+    ASSERT_FALSE(tasks.empty());
+
+    std::ostringstream log_sink;
+    log::set_sink(&log_sink);
+    const Run warm = kind.run(dir.path());
+    log::set_sink(nullptr);
+
+    EXPECT_EQ(warm.output, cold.output);
+    EXPECT_EQ(warm.writes, static_cast<long>(tasks.size()));
+    EXPECT_EQ(count_of(log_sink.str(), "undecodable cache payload"),
+              tasks.size())
+        << log_sink.str();
+    for (const std::string& task : tasks)
+      EXPECT_EQ(count_of(log_sink.str(),
+                         "undecodable cache payload for '" + task + "'"),
+                1u)
+          << task;
+  }
 }
 
 // --- Serialization round trips --------------------------------------------

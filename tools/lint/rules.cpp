@@ -67,7 +67,7 @@ void check_locale_number_io(const Source& src, const std::string& path,
            std::string("'") + fn +
                "' parses numbers through the process locale; use the "
                "locale-independent wrappers (common/cli parse_strict_int, "
-               "common/numbers parse_double, common/json, common/csv)");
+               "common/numbers parse_double, common/json)");
     }
   }
   static const char* const kPrintfFns[] = {
@@ -82,8 +82,7 @@ void check_locale_number_io(const Source& src, const std::string& path,
       emit(out, src, path, pos, "locale-number-io",
            std::string("'") + fn +
                "' with a floating-point conversion formats through the "
-               "process locale; use common/numbers format_double or "
-               "common/csv row_numeric");
+               "process locale; use common/numbers format_double");
     }
   }
 }

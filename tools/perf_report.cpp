@@ -466,7 +466,8 @@ const std::string& store_open_dir(const Options& o) {
   return dir;
 }
 
-/// Milliseconds of MeasurementStore::open per MB of store file.
+/// Milliseconds of MeasurementStore::open per MB of store file, opened
+/// with the job count a default Session opens its store with.
 double bench_store_open(const Options& o) {
   namespace fs = std::filesystem;
   const std::string& dir = store_open_dir(o);
@@ -475,7 +476,7 @@ double bench_store_open(const Options& o) {
       1e6;
   const auto t0 = Clock::now();
   store::MeasurementStore store;
-  store.open(dir, store::StoreMode::kReadOnly, "bench");
+  store.open(dir, store::StoreMode::kReadOnly, "bench", 0, resolve_jobs(0));
   const double ms = seconds_since(t0) * 1e3;
   if (store.size() != (o.quick ? 4u : 14u)) {
     std::cerr << "error: synthetic store reopened with " << store.size()
@@ -564,9 +565,11 @@ int main(int argc, char** argv) {
                 "per thread; shardN = index shard count, tN = pool threads "
                 "(shard1 = the pre-PR-10 single-mutex index)");
   workloads["store_open"] = std::string(
-      o.quick ? "MeasurementStore::open (ro) of a synthetic 1 MB store: 4 "
+      o.quick ? "MeasurementStore::open (ro, jobs = hardware threads, as a "
+                "default Session) of a synthetic 1 MB store: 4 "
                 "acquisition-sweep lines of 1000 samples"
-              : "MeasurementStore::open (ro) of a synthetic 4 MB store: 14 "
+              : "MeasurementStore::open (ro, jobs = hardware threads, as a "
+                "default Session) of a synthetic 4 MB store: 14 "
                 "acquisition-sweep lines of 1000 samples");
   report["workloads"] = std::move(workloads);
   report["estimator"] =
