@@ -86,7 +86,7 @@ int main() {
 
   // Validate against the ground-truth static optimum (exhaustive search on
   // the same session's tuning node).
-  const auto truth = session.tune_static(app);
+  const TuningOutcome truth = session.tune("static", app);
   std::cout << "\nground-truth static optimum: " << to_string(truth.best)
             << "\nplugin phase selection     : "
             << to_string(result.phase_best) << '\n';
@@ -104,6 +104,6 @@ int main() {
             << " %  (model-guided search used "
             << result.thread_scenarios + result.analysis_runs +
                    result.frequency_scenarios
-            << " experiments instead of " << truth.runs << ")\n";
+            << " experiments instead of " << truth.app_runs << ")\n";
   return 0;
 }

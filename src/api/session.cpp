@@ -12,16 +12,17 @@
 namespace ecotune::api {
 namespace {
 
-/// Everything the trained bits depend on: the dataset, every model
+/// Everything the trained bits depend on: the dataset (its training digest
+/// and size, which the acquisition summary carries), every model
 /// configuration field except jobs (any jobs value trains the same bits),
 /// and the epoch count.
-std::uint64_t model_fingerprint(const model::EnergyDataset& dataset,
+std::uint64_t model_fingerprint(const model::AcquisitionSummary& dataset,
                                 const model::EnergyModelConfig& config,
                                 int epochs) {
   const nn::MlpConfig& mlp = config.mlp;
   Fingerprint fp;
-  fp.add_digest("dataset", dataset.training_digest())
-      .add("samples", dataset.samples.size());
+  fp.add_digest("dataset", dataset.training_digest)
+      .add("samples", dataset.samples);
   for (std::size_t width : mlp.layer_sizes) fp.add("mlp.layer", width);
   fp.add("mlp.relu_output", mlp.relu_output)
       .add("mlp.learning_rate", mlp.learning_rate)
@@ -72,25 +73,33 @@ Session::Session(SessionConfig config)
       config_.scope(), config_.store_shards(), jobs_);
 }
 
+model::DataAcquisition Session::training_acquisition() {
+  model::AcquisitionOptions opts = config_.acquisition();
+  opts.jobs = jobs_;
+  opts.store = &store_;
+  return model::DataAcquisition(training_node_, opts);
+}
+
 model::EnergyDataset Session::acquire_dataset() {
   return acquire_dataset(workload::BenchmarkSuite::training_set());
 }
 
 model::EnergyDataset Session::acquire_dataset(
     const std::vector<workload::Benchmark>& benchmarks) {
-  model::AcquisitionOptions opts = config_.acquisition();
-  opts.jobs = jobs_;
-  opts.store = &store_;
-  model::DataAcquisition acquisition(training_node_, opts);
-  return acquisition.acquire(benchmarks);
+  return training_acquisition().acquire(benchmarks);
 }
 
 const model::EnergyModel& Session::train_model() {
   const MutexLock lock(model_mutex_);
   if (model_) return *model_;
-  // Acquisition always runs: it advances the training node's clock and
-  // answers its own measurements from the store.
-  const auto dataset = acquire_dataset();
+  // The model is keyed by the acquisition's summary, so a warm session
+  // that loads the model decodes no sweep. The training node advances as
+  // if the acquisition ran, either way.
+  model::DataAcquisition acquisition = training_acquisition();
+  const auto benchmarks = workload::BenchmarkSuite::training_set();
+  std::optional<model::EnergyDataset> dataset;
+  const model::AcquisitionSummary summary =
+      acquisition.summarize(benchmarks, dataset);
   model::EnergyModelConfig model_cfg;
   model_cfg.jobs = jobs_;  // candidate pool trains concurrently, bitwise
                            // identical for any value
@@ -100,16 +109,18 @@ const model::EnergyModel& Session::train_model() {
   // same bits, so one entry serves them all.
   model_.emplace(store::cached(
       &store_, "model",
-      [&] { return model_fingerprint(dataset, model_cfg, epochs); },
+      [&] { return model_fingerprint(summary, model_cfg, epochs); },
       [](std::string_view payload) {
         return model::EnergyModel::from_json(Json::parse(payload));
       },
       [&] {
+        if (!dataset) dataset = acquisition.acquire(benchmarks);
         model::EnergyModel trained(model_cfg);
-        trained.train(dataset, epochs);
+        trained.train(*dataset, epochs);
         return trained;
       },
       [](const model::EnergyModel& trained) { return trained.to_json(); }));
+  if (!dataset) acquisition.replay(summary);
   return *model_;
 }
 
@@ -237,30 +248,73 @@ CampaignReport Session::run_dta_campaign(
   return run_dta_campaign(apps);
 }
 
-template <class Run>
-auto Session::with_tuner(const std::string& tuner_name,
-                         const std::string& key, int jobs, Run&& run) {
-  hwsim::NodeSimulator node = tuning_node_.clone(key);
-  tuners::TunerContext ctx;
-  ctx.node = &node;
-  ctx.model = [this]() -> const model::EnergyModel& { return train_model(); };
-  ctx.jobs = jobs;
-  ctx.store = &store_;
-  ctx.key_scope = key;
-  ctx.static_search = config_.static_search();
-  ctx.plugin = plugin_options(jobs);
-  ctx.qlearn = config_.qlearn();
-  return run(*tuners::default_registry().make(tuner_name, ctx));
+TuningOutcome Session::tune_row(const std::string& tuner_name,
+                                const workload::Benchmark& app,
+                                const std::string& objective,
+                                const std::string& key, int jobs) {
+  const TuningRequest request{app, objective};
+  const core::DvfsUfsPlugin::Options po = plugin_options(jobs);
+  const auto fingerprint = [&] {
+    const baseline::StaticTunerOptions& search = config_.static_search();
+    const tuners::QLearningOptions& qlearn = config_.qlearn();
+    Fingerprint fp;
+    fp.add("tuner", tuner_name)
+        .add("objective", request.objective)
+        .add_digest("node", tuning_node_.state_fingerprint())
+        .add_digest("app", app.fingerprint_digest())
+        .add("noise_key", key);
+    for (int t : search.thread_counts) fp.add("static.thread_count", t);
+    fp.add("static.cf_stride", search.cf_stride)
+        .add("static.ucf_stride", search.ucf_stride)
+        .add("static.phase_iterations", search.phase_iterations)
+        .add("qlearn.episodes", qlearn.episodes)
+        .add("qlearn.alpha", qlearn.alpha)
+        .add("qlearn.gamma", qlearn.gamma)
+        .add("qlearn.epsilon0", qlearn.epsilon0)
+        .add("qlearn.epsilon_decay", qlearn.epsilon_decay)
+        .add("qlearn.epsilon_min", qlearn.epsilon_min)
+        .add("qlearn.phase_iterations", qlearn.phase_iterations)
+        .add("qlearn.cf_step", qlearn.cf_step)
+        .add("qlearn.ucf_step", qlearn.ucf_step)
+        .add("qlearn.seed", qlearn.seed);
+    for (int t : qlearn.thread_counts) fp.add("qlearn.thread_count", t);
+    fp.add("plugin_config", po.config.to_json().dump(-1))
+        .add("engine.iterations_per_scenario",
+             po.engine.iterations_per_scenario)
+        .add("engine.measurement_noise", po.engine.measurement_noise)
+        .add("engine.seed", po.engine.seed);
+    // Only a strategy that uses the model trains it (and is keyed by it).
+    if (tuners::default_registry().uses_model(tuner_name))
+      fp.add("model", train_model().canonical_digest());
+    return fp.digest();
+  };
+  return store::cached(
+      &store_, "tune/" + key, fingerprint,
+      [](std::string_view payload) { return TuningOutcome::from_json(payload); },
+      [&] {
+        hwsim::NodeSimulator node = tuning_node_.clone(key);
+        tuners::TunerContext ctx;
+        ctx.node = &node;
+        ctx.model = [this]() -> const model::EnergyModel& {
+          return train_model();
+        };
+        ctx.jobs = jobs;
+        ctx.store = &store_;
+        ctx.key_scope = key;
+        ctx.static_search = config_.static_search();
+        ctx.plugin = po;
+        ctx.qlearn = config_.qlearn();
+        return tuners::default_registry().make(tuner_name, ctx)->tune(request);
+      },
+      [](const TuningOutcome& outcome) { return outcome.to_json(); });
 }
 
 TuningOutcome Session::tune(const std::string& tuner_name,
                             const workload::Benchmark& app,
                             const std::string& objective,
                             const std::string& key) {
-  const TuningRequest request{
-      app, objective.empty() ? config_.objective() : objective};
-  return with_tuner(tuner_name, key, 1,
-                    [&](Tuner& strategy) { return strategy.tune(request); });
+  return tune_row(tuner_name, app,
+                  objective.empty() ? config_.objective() : objective, key, 1);
 }
 
 TuningOutcome Session::tune(const std::string& tuner_name,
@@ -268,11 +322,10 @@ TuningOutcome Session::tune(const std::string& tuner_name,
                             const std::string& objective) {
   // The key is built from the resolved objective, so tune(name, app, "")
   // and tune(name, app) share it.
-  const TuningRequest request{
-      app, objective.empty() ? config_.objective() : objective};
-  return with_tuner(tuner_name, tune_key(tuner_name, app, request.objective),
-                    jobs_,
-                    [&](Tuner& strategy) { return strategy.tune(request); });
+  const std::string resolved =
+      objective.empty() ? config_.objective() : objective;
+  return tune_row(tuner_name, app, resolved,
+                  tune_key(tuner_name, app, resolved), jobs_);
 }
 
 TuningOutcome Session::tune(const std::string& tuner_name,
@@ -283,16 +336,6 @@ TuningOutcome Session::tune(const std::string& tuner_name,
 TuningOutcome Session::tune(const std::string& tuner_name,
                             const std::string& benchmark_name) {
   return tune(tuner_name, workload::BenchmarkSuite::by_name(benchmark_name));
-}
-
-baseline::StaticTuningResult Session::tune_static(
-    const workload::Benchmark& app) {
-  return with_tuner(
-      "static", tune_key("static", app, config_.objective()), jobs_,
-      [&](Tuner& strategy) {
-        return dynamic_cast<baseline::StaticTuner&>(strategy).tune(
-            app, *ptf::make_objective(config_.objective()));
-      });
 }
 
 core::SavingsEvaluator Session::savings_evaluator() {

@@ -218,13 +218,14 @@ struct SavingsReport {
 ///   auto report = session.run_dta("Lulesh");     // full DTA
 ///   api::TextReportSink(std::cout).dta(report);  // render
 ///
-/// Every analysis call (run_dta, run_dta_campaign, tune, tune_static,
-/// evaluate_savings) is a pure function of the session configuration, the
-/// trained model, its arguments and a key. It runs on a private clone of
-/// the tuning node whose noise stream is forked by the key, and its store
-/// entries are namespaced by the key. The tuning node itself never
-/// advances, so equal calls return equal bytes in any order, from any
-/// thread, and after a warm restart (whole results replay from the store).
+/// Every analysis call (run_dta, run_dta_campaign, tune, evaluate_savings)
+/// is a pure function of the session configuration, the trained model, its
+/// arguments and a key. It runs on a private clone of the tuning node whose
+/// noise stream is forked by the key, and its store entries are namespaced
+/// by the key. The tuning node itself never advances, so equal calls return
+/// equal bytes in any order, from any thread, and after a warm restart:
+/// each call's whole result is one store row (`dta/<key>`, `tune/<key>`,
+/// `savings/<key>`), so a repeated call is one lookup.
 /// Key-less overloads derive the key from their arguments. A driver that
 /// reproduces one experiment sequence on one node instead passes its own
 /// tuning_node().clone() to run_dta(app, node); the sequence state lives in
@@ -254,7 +255,9 @@ class Session {
   /// subsequent calls (and every entry point below) reuse the first result.
   /// With the store enabled, the fitted model is the `model` store
   /// entry, keyed by the dataset, the model configuration and the epoch
-  /// count: a warm session loads it instead of training.
+  /// count: a warm session loads it instead of training. The dataset's part
+  /// of that key comes from the acquisition's summary entry, so a warm
+  /// session that loads the model decodes no acquisition sweep.
   const model::EnergyModel& train_model() ECOTUNE_EXCLUDES(model_mutex_);
   /// Injects an already-trained model (e.g. deserialized from disk),
   /// skipping acquisition and training entirely.
@@ -298,8 +301,11 @@ class Session {
   /// Runs a fresh instance of the named strategy (any default_registry()
   /// name: exhaustive, static, dta, qlearn, ondemand, conservative) on
   /// tuning_node().clone(key). Empty `objective` means the session's;
-  /// "dta" trains the model on first use. Throws ConfigError (with the
-  /// registered-name list) on unknown names.
+  /// "dta" trains the model on first use. The outcome is the store row
+  /// `tune/<key>`, keyed by the strategy, the resolved objective, the node,
+  /// the app, the key, the session's strategy options and -- for a strategy
+  /// the registry marks as using the model -- the trained model. Throws
+  /// ConfigError (with the registered-name list) on unknown names.
   TuningOutcome tune(const std::string& tuner_name,
                      const workload::Benchmark& app,
                      const std::string& objective, const std::string& key);
@@ -314,10 +320,6 @@ class Session {
                      const std::string& benchmark_name);
 
   // -- Evaluation baselines (paper Sec. V-D). -----------------------------
-
-  /// Exhaustive static search (Table V): tune("static", app) unwrapped to
-  /// the rich result.
-  baseline::StaticTuningResult tune_static(const workload::Benchmark& app);
 
   /// Static-vs-dynamic savings (Table VI protocol); trains first if needed.
   /// Row i is evaluated under the key "savings-0-<i>-<name>", the rows
@@ -340,6 +342,11 @@ class Session {
   [[nodiscard]] const hwsim::NodeSimulator& tuning_node() const {
     return tuning_node_;
   }
+  /// The node acquisition runs on; train_model() and acquire_dataset()
+  /// advance its clock, so read it only while neither runs.
+  [[nodiscard]] const hwsim::NodeSimulator& training_node() const {
+    return training_node_;
+  }
 
   /// Prints the store's hit/miss summary to stderr when it is enabled.
   /// Stderr, not stdout: driver stdout must stay byte-identical between
@@ -349,11 +356,14 @@ class Session {
  private:
   [[nodiscard]] DtaReport dta_row(const workload::Benchmark& app,
                                   const std::string& key, int jobs);
-  /// Builds a fresh `tuner_name` strategy on tuning_node().clone(key) and
-  /// returns run(strategy).
-  template <class Run>
-  auto with_tuner(const std::string& tuner_name, const std::string& key,
-                  int jobs, Run&& run);
+  /// The `tune/<key>` row: a fresh `tuner_name` strategy tuned on
+  /// tuning_node().clone(key) under the resolved `objective`.
+  [[nodiscard]] TuningOutcome tune_row(const std::string& tuner_name,
+                                       const workload::Benchmark& app,
+                                       const std::string& objective,
+                                       const std::string& key, int jobs);
+  /// An acquisition on the training node with the session's options.
+  [[nodiscard]] model::DataAcquisition training_acquisition();
   [[nodiscard]] core::SavingsEvaluator savings_evaluator();
   [[nodiscard]] core::DvfsUfsPlugin::Options plugin_options(
       int jobs, const std::string& key_scope = {});

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -23,28 +24,32 @@ namespace detail {
 void emit(Level level, std::string_view component, const std::string& message);
 }
 
-/// RAII log line: streams into an internal buffer, emits on destruction.
+/// RAII log line: streams into a buffer, emits on destruction.
 /// Usage: log::Line(log::Level::kInfo, "hwsim") << "freq=" << f;
+/// The level is checked once, at construction: a filtered line has no
+/// buffer, formats none of its operands and costs one compare.
 class Line {
  public:
   Line(Level level, std::string_view component)
-      : level_(level), component_(component) {}
+      : level_(level), component_(component) {
+    if (level_ >= log::level()) buf_.emplace();
+  }
   Line(const Line&) = delete;
   Line& operator=(const Line&) = delete;
   ~Line() {
-    if (level_ >= level()) detail::emit(level_, component_, buf_.str());
+    if (buf_) detail::emit(level_, component_, buf_->str());
   }
 
   template <class T>
   Line& operator<<(const T& v) {
-    if (level_ >= level()) buf_ << v;
+    if (buf_) *buf_ << v;
     return *this;
   }
 
  private:
   Level level_;
   std::string_view component_;
-  std::ostringstream buf_;
+  std::optional<std::ostringstream> buf_;
 };
 
 inline Line trace(std::string_view component) {

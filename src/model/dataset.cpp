@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -297,40 +298,54 @@ EnergySample read_sample(JsonReader& r, const std::string& benchmark,
 
 }  // namespace
 
+Fingerprint DataAcquisition::base_fingerprint() const {
+  Fingerprint fp;
+  fp.add_digest("node", node_.state_fingerprint())
+      .add_digest("rng", rng_.state_hash());
+  for (int t : options_.thread_counts) fp.add("thread_count", t);
+  fp.add("cf_stride", options_.cf_stride)
+      .add("ucf_stride", options_.ucf_stride)
+      .add("phase_iterations", options_.phase_iterations)
+      .add("counter_noise", options_.counter_noise)
+      .add("seed", options_.seed);
+  return fp;
+}
+
+std::string DataAcquisition::noise_key(
+    std::size_t i, const workload::Benchmark& benchmark) const {
+  return "acquire-" + std::to_string(acquire_calls_) + "-" +
+         std::to_string(i) + "-" + benchmark.name();
+}
+
 EnergyDataset DataAcquisition::acquire(
     const std::vector<workload::Benchmark>& benchmarks) {
+  std::vector<AcquisitionSummary::Sweep> sweeps;
+  return acquire_sweeps(benchmarks, sweeps);
+}
+
+EnergyDataset DataAcquisition::acquire_sweeps(
+    const std::vector<workload::Benchmark>& benchmarks,
+    std::vector<AcquisitionSummary::Sweep>& sweeps) {
   EnergyDataset ds;
   ds.feature_names = model::feature_names(paper_feature_events());
 
   // One task per benchmark, each sweeping on its own node clone with
   // jitter keyed by (acquire() call, benchmark); samples are concatenated
   // in benchmark order, so the dataset does not depend on the job count.
-  const long call_tag = acquire_calls_++;
   struct BenchOutcome {
     std::vector<EnergySample> samples;
-    long runs = 0;
-    Seconds elapsed{0};
+    AcquisitionSummary::Sweep sweep;
   };
-  Fingerprint base_fp;
-  base_fp.add_digest("node", node_.state_fingerprint())
-      .add_digest("rng", rng_.state_hash());
-  for (int t : options_.thread_counts) base_fp.add("thread_count", t);
-  base_fp.add("cf_stride", options_.cf_stride)
-      .add("ucf_stride", options_.ucf_stride)
-      .add("phase_iterations", options_.phase_iterations)
-      .add("counter_noise", options_.counter_noise)
-      .add("seed", options_.seed);
+  const Fingerprint base_fp = base_fingerprint();
   auto outcomes = parallel_map_ordered(
       benchmarks.size(),
       [&](std::size_t i) {
-        const std::string noise_key = "acquire-" + std::to_string(call_tag) +
-                                      "-" + std::to_string(i) + "-" +
-                                      benchmarks[i].name();
+        const std::string key = noise_key(i, benchmarks[i]);
         return store::cached(
-            options_.store, "acquire/" + noise_key,
+            options_.store, "acquire/" + key,
             [&] {
               return Fingerprint(base_fp)
-                  .add("noise_key", noise_key)
+                  .add("noise_key", key)
                   .add_digest("app", benchmarks[i].fingerprint_digest())
                   .digest();
             },
@@ -351,9 +366,9 @@ EnergyDataset DataAcquisition::acquire(
               JsonReader r(payload);
               r.begin_object();
               r.key("elapsed");
-              out.elapsed = Seconds(r.number());
+              out.sweep.elapsed = Seconds(r.number());
               r.key("runs");
-              out.runs = static_cast<long>(r.number());
+              out.sweep.runs = static_cast<long>(r.number());
               r.key("samples");
               out.samples.reserve(expected);
               r.begin_array();
@@ -367,13 +382,13 @@ EnergyDataset DataAcquisition::acquire(
               return out;
             },
             [&] {
-              hwsim::NodeSimulator node = node_.clone(noise_key);
+              hwsim::NodeSimulator node = node_.clone(key);
               DataAcquisition acquisition(node, options_);
               const Seconds t0 = node.now();
               BenchOutcome out;
               out.samples = acquisition.acquire_benchmark(benchmarks[i]);
-              out.runs = acquisition.runs_performed();
-              out.elapsed = node.now() - t0;
+              out.sweep.runs = acquisition.runs_performed();
+              out.sweep.elapsed = node.now() - t0;
               return out;
             },
             [](const BenchOutcome& out) {
@@ -382,21 +397,97 @@ EnergyDataset DataAcquisition::acquire(
                 samples.push_back(sample_to_json(s));
               Json payload = Json::object();
               payload["samples"] = std::move(samples);
-              payload["runs"] = static_cast<std::int64_t>(out.runs);
-              payload["elapsed"] = out.elapsed.value();
+              payload["runs"] = static_cast<std::int64_t>(out.sweep.runs);
+              payload["elapsed"] = out.sweep.elapsed.value();
               return payload;
             });
       },
       options_.jobs);
 
-  Seconds total{0};
+  sweeps.clear();
   for (auto& out : outcomes) {
     for (auto& s : out.samples) ds.samples.push_back(std::move(s));
-    runs_ += out.runs;
-    total += out.elapsed;
+    sweeps.push_back(out.sweep);
+  }
+  replay(AcquisitionSummary{.sweeps = sweeps});
+  return ds;
+}
+
+AcquisitionSummary DataAcquisition::summarize(
+    const std::vector<workload::Benchmark>& benchmarks,
+    std::optional<EnergyDataset>& acquired) {
+  return store::cached(
+      options_.store, "acquire/summary-" + std::to_string(acquire_calls_),
+      [&] {
+        Fingerprint fp = base_fingerprint();
+        for (std::size_t i = 0; i < benchmarks.size(); ++i) {
+          fp.add("noise_key", noise_key(i, benchmarks[i]))
+              .add_digest("app", benchmarks[i].fingerprint_digest());
+        }
+        return fp.digest();
+      },
+      [&](std::string_view payload) {
+        AcquisitionSummary summary;
+        JsonReader r(payload);
+        r.begin_object();
+        r.key("digest");
+        const std::string_view hex = r.string();
+        const auto [end, ec] = std::from_chars(
+            hex.data(), hex.data() + hex.size(), summary.training_digest, 16);
+        ensure(ec == std::errc{} && end == hex.data() + hex.size() &&
+                   hex.size() == 16,
+               "summary digest is not 16 hex digits");
+        r.key("samples");
+        summary.samples = static_cast<std::size_t>(r.number());
+        r.key("sweeps");
+        r.begin_array();
+        while (r.next_element()) {
+          AcquisitionSummary::Sweep sweep;
+          r.begin_object();
+          r.key("elapsed");
+          sweep.elapsed = Seconds(r.number());
+          r.key("runs");
+          sweep.runs = static_cast<long>(r.number());
+          r.end_object();
+          summary.sweeps.push_back(sweep);
+        }
+        r.end_object();
+        r.end();
+        ensure(summary.sweeps.size() == benchmarks.size(),
+               "summary covers a different benchmark list");
+        return summary;
+      },
+      [&] {
+        AcquisitionSummary summary;
+        acquired = acquire_sweeps(benchmarks, summary.sweeps);
+        summary.training_digest = acquired->training_digest();
+        summary.samples = acquired->samples.size();
+        return summary;
+      },
+      [](const AcquisitionSummary& summary) {
+        Json sweeps = Json::array();
+        for (const auto& sweep : summary.sweeps) {
+          Json j = Json::object();
+          j["runs"] = static_cast<std::int64_t>(sweep.runs);
+          j["elapsed"] = sweep.elapsed.value();
+          sweeps.push_back(std::move(j));
+        }
+        Json payload = Json::object();
+        payload["digest"] = Fingerprint::to_hex(summary.training_digest);
+        payload["samples"] = summary.samples;
+        payload["sweeps"] = std::move(sweeps);
+        return payload;
+      });
+}
+
+void DataAcquisition::replay(const AcquisitionSummary& summary) {
+  Seconds total{0};
+  for (const auto& sweep : summary.sweeps) {
+    runs_ += sweep.runs;
+    total += sweep.elapsed;
   }
   node_.idle(total);
-  return ds;
+  ++acquire_calls_;
 }
 
 CounterSurvey DataAcquisition::survey_counters(

@@ -2,10 +2,12 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/fingerprint.hpp"
 #include "common/units.hpp"
 #include "hwsim/cluster.hpp"
 #include "stats/linalg.hpp"
@@ -84,6 +86,21 @@ struct AcquisitionOptions {
   store::MeasurementStore* store = nullptr;
 };
 
+/// What acquire(benchmarks) yields besides its samples, and all a caller
+/// that already holds a model trained on them needs: the dataset's
+/// training_digest() and size, and each sweep's cost. With it, replay()
+/// advances the node as the acquisition did without decoding any sweep.
+struct AcquisitionSummary {
+  std::uint64_t training_digest = 0;
+  std::size_t samples = 0;
+  /// One per benchmark, in acquire() order.
+  struct Sweep {
+    long runs = 0;
+    Seconds elapsed{0};
+  };
+  std::vector<Sweep> sweeps;
+};
+
 /// Executes the Sec. IV-A data-acquisition pipeline on a simulated node:
 /// Score-P-instrumented runs produce OTF2 traces; the post-processor
 /// extracts whole-run energies and per-phase-instance counter rates; labels
@@ -96,6 +113,20 @@ class DataAcquisition {
   /// counters + frequencies).
   [[nodiscard]] EnergyDataset acquire(
       const std::vector<workload::Benchmark>& benchmarks);
+
+  /// The summary of the next acquire(benchmarks). With a store it is one
+  /// entry, `acquire/summary-<call>`, keyed by the fingerprints of every
+  /// sweep that call would look up. A hit decodes no sweep and advances
+  /// nothing: follow it with replay(summary), or with acquire(benchmarks)
+  /// when the samples are needed after all. A miss, or an undecodable entry,
+  /// runs acquire(benchmarks) and moves its dataset into `acquired`.
+  [[nodiscard]] AcquisitionSummary summarize(
+      const std::vector<workload::Benchmark>& benchmarks,
+      std::optional<EnergyDataset>& acquired);
+
+  /// Advances the node's clock and runs_performed() exactly as the
+  /// acquire() that `summary` summarizes did, without running any sweep.
+  void replay(const AcquisitionSummary& summary);
 
   /// Counter rates for one benchmark at the calibration point, collected
   /// with multiplexed event sets over repeated runs.
@@ -131,6 +162,17 @@ class DataAcquisition {
   /// acquisition's node (the per-task body of the parallel acquire()).
   [[nodiscard]] std::vector<EnergySample> acquire_benchmark(
       const workload::Benchmark& benchmark);
+  /// acquire() with each sweep's cost stored in `sweeps`.
+  [[nodiscard]] EnergyDataset acquire_sweeps(
+      const std::vector<workload::Benchmark>& benchmarks,
+      std::vector<AcquisitionSummary::Sweep>& sweeps);
+  /// What every sweep of this acquisition's next acquire() depends on
+  /// besides its benchmark: node and RNG state and the options.
+  [[nodiscard]] Fingerprint base_fingerprint() const;
+  /// The node-clone and store key of sweep `i` of the next acquire().
+  [[nodiscard]] std::string noise_key(std::size_t i,
+                                      const workload::Benchmark& benchmark)
+      const;
 
   hwsim::NodeSimulator& node_;
   AcquisitionOptions options_;

@@ -23,4 +23,33 @@ Json TuningOutcome::to_json() const {
   return j;
 }
 
+TuningOutcome TuningOutcome::from_json(std::string_view text) {
+  TuningOutcome out;
+  JsonReader r(text);
+  r.begin_object();
+  r.key("app_runs");
+  out.app_runs = static_cast<long>(r.number());
+  r.key("best");
+  out.best = store::read_config(r);
+  r.key("best_measurement");
+  out.best_measurement = ptf::read_measurement(r);
+  r.key("objective");
+  out.objective = r.string();
+  r.key("region_best");
+  r.begin_object();
+  for (std::string_view region; r.next_key(region);) {
+    std::string name(region);  // the next read may overwrite `region`
+    out.region_best.emplace(std::move(name), store::read_config(r));
+  }
+  r.key("scenarios_evaluated");
+  out.scenarios_evaluated = static_cast<long>(r.number());
+  r.key("tuner");
+  out.tuner = r.string();
+  r.key("tuning_time");
+  out.tuning_time = Seconds(r.number());
+  r.end_object();
+  r.end();
+  return out;
+}
+
 }  // namespace ecotune

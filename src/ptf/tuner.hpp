@@ -41,6 +41,9 @@ struct TuningOutcome {
   ptf::Measurement best_measurement;
 
   [[nodiscard]] Json to_json() const;
+  /// Reads the document to_json() wrote, keys in sorted order, straight
+  /// from its compact bytes; re-encoding the result gives those bytes.
+  [[nodiscard]] static TuningOutcome from_json(std::string_view text);
 };
 
 /// The common seam every tuning strategy sits behind (paper Table VI /

@@ -16,4 +16,17 @@ SystemConfig config_from_json(const Json& j) {
                       UncoreFreq::mhz(j.at("ucf_mhz").as_int())};
 }
 
+SystemConfig read_config(JsonReader& r) {
+  SystemConfig c;
+  r.begin_object();
+  r.key("cf_mhz");
+  c.core = CoreFreq::mhz(static_cast<int>(r.number()));
+  r.key("threads");
+  c.threads = static_cast<int>(r.number());
+  r.key("ucf_mhz");
+  c.uncore = UncoreFreq::mhz(static_cast<int>(r.number()));
+  r.end_object();
+  return c;
+}
+
 }  // namespace ecotune::store

@@ -15,5 +15,7 @@ namespace ecotune::store {
 
 [[nodiscard]] Json to_json(const SystemConfig& c);
 [[nodiscard]] SystemConfig config_from_json(const Json& j);
+/// Reads the object to_json(SystemConfig) wrote, keys in sorted order.
+[[nodiscard]] SystemConfig read_config(JsonReader& r);
 
 }  // namespace ecotune::store

@@ -19,41 +19,51 @@ std::unique_ptr<Tuner> make_governor(const TunerContext& ctx,
 
 }  // namespace
 
-void TunerRegistry::add(std::string name, Factory factory) {
+void TunerRegistry::add(std::string name, Factory factory, bool uses_model) {
   ensure(!name.empty(), "TunerRegistry::add: empty strategy name");
   ensure(static_cast<bool>(factory), "TunerRegistry::add: null factory");
-  factories_[std::move(name)] = std::move(factory);
+  entries_[std::move(name)] = Entry{std::move(factory), uses_model};
 }
 
 bool TunerRegistry::contains(const std::string& name) const {
-  return factories_.contains(name);
+  return entries_.contains(name);
 }
 
 std::vector<std::string> TunerRegistry::names() const {
   std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
+  out.reserve(entries_.size());
+  for (const auto& [name, registered] : entries_) out.push_back(name);
   return out;  // std::map iteration order is already sorted
 }
 
 std::string TunerRegistry::names_joined() const {
   std::string out;
-  for (const auto& [name, factory] : factories_) {
+  for (const auto& [name, registered] : entries_) {
     if (!out.empty()) out += ", ";
     out += name;
   }
   return out;
 }
 
-std::unique_ptr<Tuner> TunerRegistry::make(const std::string& name,
-                                           const TunerContext& ctx) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) {
+const TunerRegistry::Entry& TunerRegistry::entry(
+    const std::string& name) const {
+  const auto it = entries_.find(name);
+  if (it == entries_.end()) {
     throw ConfigError("unknown tuner '" + name +
                       "' (registered: " + names_joined() + ")");
   }
+  return it->second;
+}
+
+bool TunerRegistry::uses_model(const std::string& name) const {
+  return entry(name).uses_model;
+}
+
+std::unique_ptr<Tuner> TunerRegistry::make(const std::string& name,
+                                           const TunerContext& ctx) const {
+  const Factory& factory = entry(name).factory;
   ensure(ctx.node != nullptr, "TunerRegistry::make: null node in context");
-  return it->second(ctx);
+  return factory(ctx);
 }
 
 const TunerRegistry& default_registry() {
@@ -73,15 +83,18 @@ const TunerRegistry& default_registry() {
       opts.key_scope = ctx.key_scope;
       return std::make_unique<baseline::StaticTuner>(*ctx.node, opts);
     });
-    r.add("dta", [](const TunerContext& ctx) -> std::unique_ptr<Tuner> {
-      ensure(static_cast<bool>(ctx.model),
-             "tuner 'dta' needs a trained-model provider in the context");
-      core::DvfsUfsPlugin::Options opts = ctx.plugin;
-      opts.engine.jobs = ctx.jobs;
-      opts.engine.store = ctx.store;
-      if (!ctx.key_scope.empty()) opts.engine.key_scope = ctx.key_scope;
-      return std::make_unique<DtaTuner>(*ctx.node, ctx.model, opts);
-    });
+    r.add(
+        "dta",
+        [](const TunerContext& ctx) -> std::unique_ptr<Tuner> {
+          ensure(static_cast<bool>(ctx.model),
+                 "tuner 'dta' needs a trained-model provider in the context");
+          core::DvfsUfsPlugin::Options opts = ctx.plugin;
+          opts.engine.jobs = ctx.jobs;
+          opts.engine.store = ctx.store;
+          if (!ctx.key_scope.empty()) opts.engine.key_scope = ctx.key_scope;
+          return std::make_unique<DtaTuner>(*ctx.node, ctx.model, opts);
+        },
+        /*uses_model=*/true);
     r.add("qlearn", [](const TunerContext& ctx) -> std::unique_ptr<Tuner> {
       QLearningOptions opts = ctx.qlearn;
       opts.store = ctx.store;

@@ -42,10 +42,16 @@ class TunerRegistry {
   using Factory =
       std::function<std::unique_ptr<Tuner>(const TunerContext& ctx)>;
 
-  /// Registers (or replaces) a strategy factory under `name`.
-  void add(std::string name, Factory factory);
+  /// Registers (or replaces) a strategy factory under `name`. `uses_model`
+  /// marks a strategy whose outcome depends on the trained energy model
+  /// (it calls TunerContext::model), so a cached outcome must be keyed by
+  /// the model too.
+  void add(std::string name, Factory factory, bool uses_model = false);
 
   [[nodiscard]] bool contains(const std::string& name) const;
+  /// Whether the registered strategy `name` uses the trained model; throws
+  /// ConfigError like make() when `name` is unknown.
+  [[nodiscard]] bool uses_model(const std::string& name) const;
   /// All registered names, sorted.
   [[nodiscard]] std::vector<std::string> names() const;
   /// Comma-separated sorted names, for CLI diagnostics.
@@ -57,7 +63,14 @@ class TunerRegistry {
                                             const TunerContext& ctx) const;
 
  private:
-  std::map<std::string, Factory> factories_;
+  struct Entry {
+    Factory factory;
+    bool uses_model = false;
+  };
+  /// The entry registered under `name`; throws ConfigError when unknown.
+  [[nodiscard]] const Entry& entry(const std::string& name) const;
+
+  std::map<std::string, Entry> entries_;
 };
 
 /// The built-in strategies: exhaustive, static, dta, qlearn, ondemand,

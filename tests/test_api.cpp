@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -536,6 +537,226 @@ TEST(ApiModelEntry, UndecodableModelLogsAnErrorAndRetrains) {
   api::Session warm(tiny_config().jobs(2).cache(dir).scope("m"));
   EXPECT_EQ(warm.train_model().to_json().dump(-1), retrained);
   EXPECT_EQ(warm.store().stats().misses, 0);
+  std::filesystem::remove_all(dir);
+}
+
+// --- The acquisition summary ---------------------------------------------
+
+/// Store lines whose task contains `needle`.
+std::vector<std::string> lines_with(const std::string& dir,
+                                    const std::string& needle) {
+  std::vector<std::string> out;
+  for (const auto& line : store_lines(dir)) {
+    if (Json::parse(line).at("task").as_string().find(needle) !=
+        std::string::npos)
+      out.push_back(line);
+  }
+  return out;
+}
+
+/// Rewrites the store file: `edit` returns false to drop a line.
+void rewrite_store(const std::string& dir,
+                   const std::function<bool(std::string&)>& edit) {
+  std::vector<std::string> kept;
+  for (std::string line : store_lines(dir))
+    if (edit(line)) kept.push_back(std::move(line));
+  std::ofstream os(dir + "/measurements.jsonl", std::ios::trunc);
+  for (const auto& line : kept) os << line << '\n';
+}
+
+/// What train_model() leaves behind: the model and the training node.
+struct Trained {
+  Fingerprint::Text model;
+  double clock = 0;
+  std::uint64_t node_state = 0;
+  store::StoreStats stats;
+};
+
+Trained train_on(const std::string& dir) {
+  api::SessionConfig config = tiny_config().jobs(2);
+  if (!dir.empty()) config.cache(dir).scope("m");
+  api::Session session(config);
+  Trained out;
+  out.model = session.train_model().canonical_digest();
+  out.clock = session.training_node().now().value();
+  out.node_state = session.training_node().state_fingerprint();
+  out.stats = session.store().stats();
+  return out;
+}
+
+void expect_same_training(const Trained& got, const Trained& want) {
+  EXPECT_EQ(got.model.hash, want.model.hash);
+  EXPECT_EQ(got.model.size, want.model.size);
+  EXPECT_EQ(got.clock, want.clock);
+  EXPECT_EQ(got.node_state, want.node_state);
+}
+
+TEST(AcquisitionSummary, WarmTrainModelDecodesNoSweep) {
+  const std::string dir = model_store_dir("summary_warm");
+  const Trained storeless = train_on("");
+  const Trained cold = train_on(dir);
+  expect_same_training(cold, storeless);
+  ASSERT_EQ(lines_with(dir, "/acquire/summary-").size(), 1u);
+
+  // Two lookups, the summary and the model: no sweep entry is read.
+  const Trained warm = train_on(dir);
+  expect_same_training(warm, cold);
+  EXPECT_EQ(warm.stats.hits, 2);
+  EXPECT_EQ(warm.stats.misses, 0);
+  EXPECT_EQ(warm.stats.writes, 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AcquisitionSummary, StoreWithoutASummaryKeepsItsModel) {
+  const std::string dir = model_store_dir("summary_parent");
+  const Trained cold = train_on(dir);
+  // A store written before the summary existed has every sweep and the
+  // model, but no summary line.
+  rewrite_store(dir, [](std::string& line) {
+    return line.find("/acquire/summary-") == std::string::npos;
+  });
+  const long sweeps = static_cast<long>(lines_with(dir, "/acquire/").size());
+
+  const Trained first = train_on(dir);
+  expect_same_training(first, cold);
+  EXPECT_EQ(first.stats.hits, sweeps + 1) << "every sweep and the model";
+  EXPECT_EQ(first.stats.misses, 1) << "the summary";
+  EXPECT_EQ(first.stats.writes, 1) << "the summary";
+
+  const Trained second = train_on(dir);
+  expect_same_training(second, cold);
+  EXPECT_EQ(second.stats.misses, 0);
+  EXPECT_EQ(second.stats.writes, 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AcquisitionSummary, UndecodableSummaryFallsBackToTheSweeps) {
+  const std::string dir = model_store_dir("summary_corrupt");
+  const Trained cold = train_on(dir);
+  rewrite_store(dir, [](std::string& line) {
+    Json entry = Json::parse(line);
+    if (entry.at("task").as_string().find("/acquire/summary-") !=
+        std::string::npos) {
+      entry["payload"] = Json::object();
+      line = entry.dump(-1);
+    }
+    return true;
+  });
+
+  std::ostringstream log_sink;
+  log::set_sink(&log_sink);
+  const Trained warm = train_on(dir);
+  log::set_sink(nullptr);
+  expect_same_training(warm, cold);
+  EXPECT_EQ(warm.stats.misses, 0);
+  EXPECT_EQ(warm.stats.writes, 1) << "the summary is written again";
+  EXPECT_NE(
+      log_sink.str().find("undecodable cache payload for 'acquire/summary-0'"),
+      std::string::npos)
+      << log_sink.str();
+
+  const Trained again = train_on(dir);
+  expect_same_training(again, cold);
+  EXPECT_EQ(again.stats.hits, 2);
+  EXPECT_EQ(again.stats.writes, 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AcquisitionSummary, AcquireDatasetStillDecodesEverySample) {
+  const std::string dir = model_store_dir("summary_dataset");
+  (void)train_on(dir);
+  api::Session storeless(tiny_config().jobs(2));
+  const model::EnergyDataset expected = storeless.acquire_dataset();
+  api::Session warm(tiny_config().jobs(2).cache(dir).scope("m"));
+  const model::EnergyDataset got = warm.acquire_dataset();
+  EXPECT_EQ(warm.store().stats().misses, 0);
+  ASSERT_EQ(got.samples.size(), expected.samples.size());
+  EXPECT_EQ(got.training_digest(), expected.training_digest());
+  EXPECT_EQ(warm.training_node().now(), storeless.training_node().now());
+  std::filesystem::remove_all(dir);
+}
+
+// --- The tune row ----------------------------------------------------------
+
+/// A session whose strategies are cheap: a one-thread-count static search
+/// and a short Q-learning walk.
+api::SessionConfig cheap_tune_config() {
+  baseline::StaticTunerOptions search;
+  search.thread_counts = {24};
+  search.cf_stride = 4;
+  search.ucf_stride = 4;
+  tuners::QLearningOptions qlearn;
+  qlearn.episodes = 6;
+  qlearn.thread_counts = {24};
+  return tiny_config().jobs(2).static_search(search).qlearn(qlearn);
+}
+
+TEST(ApiTuneRow, RepeatedKeyedTuneIsOneStoreHit) {
+  const std::string dir = model_store_dir("tune_hit");
+  const auto app = workload::BenchmarkSuite::by_name("Mcb").with_iterations(3);
+  api::Session session(cheap_tune_config().cache(dir).scope("t"));
+  session.use_model(tiny_model());
+  for (const std::string name : {"static", "qlearn", "ondemand", "dta"}) {
+    SCOPED_TRACE(name);
+    const std::string first =
+        session.tune(name, app, "", "k-" + name).to_json().dump(-1);
+    const store::StoreStats before = session.store().stats();
+    const std::string second =
+        session.tune(name, app, "", "k-" + name).to_json().dump(-1);
+    const store::StoreStats after = session.store().stats();
+    EXPECT_EQ(second, first);
+    EXPECT_EQ(after.hits, before.hits + 1);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.writes, before.writes);
+    EXPECT_EQ(lines_with(dir, "/tune/k-" + name).size(), 1u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ApiTuneRow, AnotherModelMissesTheDtaRowButNotTheStaticRow) {
+  const std::string dir = model_store_dir("tune_model");
+  const auto app = workload::BenchmarkSuite::by_name("Mcb").with_iterations(3);
+  {
+    api::Session session(cheap_tune_config().cache(dir).scope("t"));
+    session.use_model(tiny_model());
+    (void)session.tune("dta", app, "", "k-dta");
+    (void)session.tune("static", app, "", "k-static");
+  }
+  model::EnergyModel other = [] {
+    api::Session trainer(tiny_config().epochs(2).jobs(2));
+    return trainer.train_model();
+  }();
+  ASSERT_NE(other.canonical_json(), tiny_model().canonical_json());
+
+  api::Session session(cheap_tune_config().cache(dir).scope("t"));
+  session.use_model(std::move(other));
+  store::StoreStats before = session.store().stats();
+  (void)session.tune("static", app, "", "k-static");
+  store::StoreStats after = session.store().stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+
+  before = after;
+  (void)session.tune("dta", app, "", "k-dta");
+  after = session.store().stats();
+  EXPECT_GT(after.misses, before.misses);
+  EXPECT_EQ(lines_with(dir, "/tune/k-dta").size(), 2u)
+      << "the dta row is computed again and appended";
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ApiTuneRow, ModelFreeTuneLeavesTheSessionUntrained) {
+  const std::string dir = model_store_dir("tune_untrained");
+  const auto app = workload::BenchmarkSuite::by_name("Mcb").with_iterations(3);
+  for (const bool with_store : {false, true}) {
+    SCOPED_TRACE(with_store);
+    api::SessionConfig config = cheap_tune_config();
+    if (with_store) config.cache(dir);
+    api::Session session(config);
+    (void)session.tune("static", app);
+    (void)session.tune("ondemand", app, "", "k");
+    EXPECT_FALSE(session.has_model());
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -59,6 +59,29 @@ TEST(Logging, RespectsLevelAndSink) {
   EXPECT_NE(sink.str().find("[WARN]"), std::string::npos);
 }
 
+/// Counts how often a log line formats it.
+struct FormatCounter {
+  int* formatted;
+};
+std::ostream& operator<<(std::ostream& os, const FormatCounter& c) {
+  ++*c.formatted;
+  return os << "counted";
+}
+
+TEST(Logging, FilteredLineFormatsNothingAndEmittedLineAppearsOnce) {
+  std::ostringstream sink;
+  log::set_sink(&sink);
+  log::set_level(log::Level::kWarn);
+  int formatted = 0;
+  log::debug("test") << "hidden " << FormatCounter{&formatted};
+  EXPECT_EQ(formatted, 0);
+  EXPECT_EQ(sink.str(), "");
+  log::error("test") << "shown " << FormatCounter{&formatted} << ' ' << 7;
+  log::set_sink(nullptr);
+  EXPECT_EQ(formatted, 1);
+  EXPECT_EQ(sink.str(), "[ERROR] [test] shown counted 7\n");
+}
+
 TEST(SystemConfig, EqualityAndFormatting) {
   SystemConfig a{24, CoreFreq::mhz(2500), UncoreFreq::mhz(3000)};
   SystemConfig b = a;

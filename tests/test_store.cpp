@@ -849,7 +849,8 @@ std::size_t count_of(const std::string& text, const std::string& needle) {
 // Every entry kind that caches through store::cached falls back the same
 // way: a payload that no longer decodes is logged once by task, recomputed
 // to the cold result, and written again. (Static points, acquisition
-// sweeps and the model have their own fallback tests.)
+// sweeps, the acquisition summary and the model have their own fallback
+// tests.)
 TEST(WarmRestart, EveryEntryKindRecomputesAnUndecodablePayload) {
   // Small trained model for the DTA and savings rows.
   auto train_node = test_node(0, 7);
@@ -962,6 +963,18 @@ TEST(WarmRestart, EveryEntryKindRecomputesAnUndecodablePayload) {
          api::Session session(api::SessionConfig{}.seed(42).cache(dir));
          session.use_model(trained);
          return Run{session.run_dta(lulesh).to_json().dump(-1),
+                    session.store().stats().writes};
+       }},
+      {"tune/",
+       [&](const std::string& dir) {
+         // A tune row is a Session entry, like a DTA row.
+         baseline::StaticTunerOptions search;
+         search.thread_counts = {24};
+         search.cf_stride = 5;
+         search.ucf_stride = 5;
+         api::Session session(
+             api::SessionConfig{}.seed(42).cache(dir).static_search(search));
+         return Run{session.tune("static", mcb).to_json().dump(-1),
                     session.store().stats().writes};
        }},
       {"savings/",
