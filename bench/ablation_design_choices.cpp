@@ -6,28 +6,20 @@
 //  3. scenario grouping on/off -- tuning-model size and switch counts.
 #include <iostream>
 
+#include "api/session.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "core/evaluation.hpp"
 
 using namespace ecotune;
 
-namespace {
-
-model::EnergyModel train_once() {
-  hwsim::NodeSimulator train_node(hwsim::haswell_ep_spec(), 0, Rng(0xAB20));
-  train_node.set_jitter(0.002);
-  return bench::train_final_model(train_node);
-}
-
-}  // namespace
-
 int main() {
   bench::banner("Ablation -- plugin design choices",
                 "neighborhood radius, significance threshold, scenario "
                 "grouping");
 
-  const auto trained = train_once();
+  const model::EnergyModel trained =
+      api::Session(api::SessionConfig{}.train_seed(0xAB20)).train_model();
   const auto app =
       workload::BenchmarkSuite::by_name("Lulesh").with_iterations(12);
 

@@ -9,6 +9,7 @@
 // the frequency space that no phase-level compromise can reach.
 #include <iostream>
 
+#include "api/session.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "core/evaluation.hpp"
@@ -71,9 +72,8 @@ int main() {
                 "heterogeneous application");
 
   std::cout << "Training the final energy model...\n";
-  hwsim::NodeSimulator train_node(hwsim::haswell_ep_spec(), 0, Rng(0xAB30));
-  train_node.set_jitter(0.002);
-  const auto trained = bench::train_final_model(train_node);
+  const model::EnergyModel trained =
+      api::Session(api::SessionConfig{}.train_seed(0xAB30)).train_model();
 
   const auto app = make_heterogeneous_app();
 

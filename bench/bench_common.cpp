@@ -121,39 +121,6 @@ DriverOptions parse_driver_options(int argc, char** argv,
   return parse_driver_options_impl(argc, argv, &selection);
 }
 
-model::AcquisitionOptions paper_acquisition_options(
-    int jobs, store::MeasurementStore* store) {
-  model::AcquisitionOptions opts;
-  opts.thread_counts = {12, 16, 20, 24};
-  opts.cf_stride = 1;
-  opts.ucf_stride = 1;
-  opts.phase_iterations = 2;
-  opts.jobs = jobs;
-  opts.store = store;
-  return opts;
-}
-
-model::EnergyDataset acquire_dataset(
-    hwsim::NodeSimulator& node,
-    const std::vector<workload::Benchmark>& benchmarks,
-    model::AcquisitionOptions options) {
-  model::DataAcquisition acq(node, options);
-  return acq.acquire(benchmarks);
-}
-
-model::EnergyModel train_final_model(hwsim::NodeSimulator& node, int jobs,
-                                     store::MeasurementStore* store) {
-  const auto dataset = acquire_dataset(
-      node, workload::BenchmarkSuite::training_set(),
-      paper_acquisition_options(jobs, store));
-  model::EnergyModelConfig cfg;
-  cfg.jobs = jobs;  // candidate pool trains concurrently; result is
-                    // bitwise identical for any job count
-  model::EnergyModel model(cfg);
-  model.train(dataset, 10);
-  return model;
-}
-
 void synthetic_training_data(std::size_t samples, stats::Matrix& x,
                              std::vector<double>& y) {
   Rng data_rng(0xDA7A);

@@ -6,7 +6,6 @@
 #include "hwsim/cluster.hpp"
 #include "model/dataset.hpp"
 #include "model/energy_model.hpp"
-#include "store/measurement_store.hpp"
 #include "workload/suite.hpp"
 
 namespace ecotune::bench {
@@ -45,26 +44,6 @@ struct TunerSelection {
 /// registered vocabulary (tuners::default_registry / ptf::objective_names).
 [[nodiscard]] DriverOptions parse_driver_options(int argc, char** argv,
                                                  TunerSelection& selection);
-
-/// Paper-faithful acquisition options: threads 12..24 step 4, full CF x UCF
-/// grid, two phase iterations per acquisition run. `jobs` controls how many
-/// benchmarks acquire concurrently (output is jobs-invariant); `store`
-/// optionally answers whole per-benchmark sweeps from a previous session.
-[[nodiscard]] model::AcquisitionOptions paper_acquisition_options(
-    int jobs = 1, store::MeasurementStore* store = nullptr);
-
-/// Acquires the full training dataset over `benchmarks` on `node`.
-[[nodiscard]] model::EnergyDataset acquire_dataset(
-    hwsim::NodeSimulator& node,
-    const std::vector<workload::Benchmark>& benchmarks,
-    model::AcquisitionOptions options);
-
-/// Trains the paper's final energy model: fit on the 14 training benchmarks
-/// for 10 epochs (Sec. V-B). Acquisition parallelizes over `jobs` workers
-/// and consults `store` when given.
-[[nodiscard]] model::EnergyModel train_final_model(
-    hwsim::NodeSimulator& node, int jobs = 1,
-    store::MeasurementStore* store = nullptr);
 
 /// Synthetic standardized dataset shaped like the acquired training set
 /// (9 N(0,1) features, labels in [0.5, 1.5), fixed seed). Shared by the

@@ -7,6 +7,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "api/session.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "instr/scorep_runtime.hpp"
@@ -118,9 +119,8 @@ int main() {
 
   std::cout << "Training the final energy model (14 training benchmarks, 10 "
                "epochs)...\n\n";
-  hwsim::NodeSimulator train_node(hwsim::haswell_ep_spec(), 0, Rng(0x6F17));
-  train_node.set_jitter(0.002);
-  const auto trained = bench::train_final_model(train_node);
+  const model::EnergyModel trained =
+      api::Session(api::SessionConfig{}.train_seed(0x6F17)).train_model();
 
   heatmap(node, trained, "Lulesh", 24, "Fig. 6");
   heatmap(node, trained, "Mcb", 20, "Fig. 7");

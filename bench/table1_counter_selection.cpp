@@ -20,8 +20,7 @@ int main() {
   hwsim::NodeSimulator node(hwsim::haswell_ep_spec(), 0, Rng(0xBEEF));
   node.set_jitter(0.002);
 
-  model::AcquisitionOptions opts = bench::paper_acquisition_options();
-  model::DataAcquisition acq(node, opts);
+  model::DataAcquisition acq(node, model::AcquisitionOptions{});
   std::cout << "Collecting all 56 preset counters for 19 benchmarks x 4 "
                "thread counts\n(4 hardware counters per run -> "
             << pmc::CounterSampler::runs_required(56)

@@ -131,11 +131,6 @@ void Session::use_model(model::EnergyModel model) {
   model_ = std::move(model);
 }
 
-bool Session::has_model() const {
-  const MutexLock lock(model_mutex_);
-  return model_.has_value();
-}
-
 const model::EnergyModel& Session::model() const {
   const MutexLock lock(model_mutex_);
   ensure(model_.has_value(),
@@ -331,11 +326,6 @@ TuningOutcome Session::tune(const std::string& tuner_name,
 TuningOutcome Session::tune(const std::string& tuner_name,
                             const workload::Benchmark& app) {
   return tune(tuner_name, app, config_.objective());
-}
-
-TuningOutcome Session::tune(const std::string& tuner_name,
-                            const std::string& benchmark_name) {
-  return tune(tuner_name, workload::BenchmarkSuite::by_name(benchmark_name));
 }
 
 core::SavingsEvaluator Session::savings_evaluator() {

@@ -262,7 +262,6 @@ class Session {
   /// Injects an already-trained model (e.g. deserialized from disk),
   /// skipping acquisition and training entirely.
   void use_model(model::EnergyModel model) ECOTUNE_EXCLUDES(model_mutex_);
-  [[nodiscard]] bool has_model() const ECOTUNE_EXCLUDES(model_mutex_);
   /// The session's trained model; throws PreconditionError if none yet.
   [[nodiscard]] const model::EnergyModel& model() const
       ECOTUNE_EXCLUDES(model_mutex_);
@@ -316,8 +315,6 @@ class Session {
   /// Under the session's objective.
   TuningOutcome tune(const std::string& tuner_name,
                      const workload::Benchmark& app);
-  TuningOutcome tune(const std::string& tuner_name,
-                     const std::string& benchmark_name);
 
   // -- Evaluation baselines (paper Sec. V-D). -----------------------------
 

@@ -77,8 +77,6 @@ class Fingerprint {
   [[nodiscard]] std::uint64_t digest() const { return h_; }
 
   /// Fixed-width lowercase hex rendering of the digest (16 chars).
-  [[nodiscard]] std::string hex() const { return to_hex(h_); }
-
   [[nodiscard]] static std::string to_hex(std::uint64_t v) {
     static constexpr char kDigits[] = "0123456789abcdef";
     std::string out(16, '0');

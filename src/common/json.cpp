@@ -38,11 +38,6 @@ const Json::Array& Json::as_array() const {
   return std::get<Array>(value_);
 }
 
-Json::Array& Json::as_array() {
-  ensure(is_array(), "Json: not an array");
-  return std::get<Array>(value_);
-}
-
 const Json::Object& Json::as_object() const {
   ensure(is_object(), "Json: not an object");
   return std::get<Object>(value_);

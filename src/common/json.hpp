@@ -61,7 +61,6 @@ class Json {
   [[nodiscard]] int as_int() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
-  [[nodiscard]] Array& as_array();
   [[nodiscard]] const Object& as_object() const;
   [[nodiscard]] Object& as_object();
 

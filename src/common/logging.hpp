@@ -52,9 +52,6 @@ class Line {
   std::optional<std::ostringstream> buf_;
 };
 
-inline Line trace(std::string_view component) {
-  return Line(Level::kTrace, component);
-}
 inline Line debug(std::string_view component) {
   return Line(Level::kDebug, component);
 }

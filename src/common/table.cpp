@@ -74,12 +74,6 @@ void TextTable::print(std::ostream& os) const {
   rule();
 }
 
-std::string TextTable::str() const {
-  std::ostringstream os;
-  print(os);
-  return os.str();
-}
-
 std::string TextTable::num(double v, int digits) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(digits) << v;

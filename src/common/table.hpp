@@ -22,7 +22,6 @@ class TextTable {
 
   /// Renders the table.
   void print(std::ostream& os) const;
-  [[nodiscard]] std::string str() const;
 
   /// Formats a double with `digits` decimal places.
   [[nodiscard]] static std::string num(double v, int digits = 2);

@@ -83,9 +83,6 @@ class DvfsUfsPlugin final : public ptf::TuningPlugin {
   DtaResult run_dta(const workload::Benchmark& app,
                     hwsim::NodeSimulator& node);
 
-  /// Result of the last completed DTA.
-  [[nodiscard]] const DtaResult& result() const { return result_; }
-
  private:
   enum class Step { kThreads = 0, kFrequencies = 1, kDone = 2 };
 

@@ -15,23 +15,4 @@ Json PluginConfig::to_json() const {
   return j;
 }
 
-PluginConfig PluginConfig::from_json(const Json& j) {
-  PluginConfig c;
-  if (j.contains("phase_region")) c.phase_region = j.at("phase_region").as_string();
-  if (j.contains("significance_threshold_ms"))
-    c.significance_threshold =
-        Seconds(j.at("significance_threshold_ms").as_number() / 1e3);
-  if (j.contains("autofilter_granularity_ms"))
-    c.autofilter_granularity =
-        Seconds(j.at("autofilter_granularity_ms").as_number() / 1e3);
-  if (j.contains("omp_lower")) c.omp_lower = j.at("omp_lower").as_int();
-  if (j.contains("omp_step")) c.omp_step = j.at("omp_step").as_int();
-  if (j.contains("neighborhood_radius"))
-    c.neighborhood_radius = j.at("neighborhood_radius").as_int();
-  if (j.contains("objective")) c.objective = j.at("objective").as_string();
-  if (j.contains("per_region_prediction"))
-    c.per_region_prediction = j.at("per_region_prediction").as_bool();
-  return c;
-}
-
 }  // namespace ecotune::core

@@ -35,7 +35,6 @@ struct PluginConfig {
   bool per_region_prediction = false;
 
   [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static PluginConfig from_json(const Json& j);
 };
 
 }  // namespace ecotune::core

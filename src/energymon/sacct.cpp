@@ -26,14 +26,7 @@ JobRecord Sacct::job_end() {
   rec.node_id = node_.node_id();
   rec.elapsed = acc_time_;
   rec.consumed_energy = acc_energy_;
-  records_.push_back(rec);
   return rec;
-}
-
-std::optional<JobRecord> Sacct::query(const std::string& job_name) const {
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it)
-    if (it->job_name == job_name) return *it;
-  return std::nullopt;
 }
 
 void Sacct::on_segment(Seconds duration, Watts node_power, Watts /*cpu*/) {

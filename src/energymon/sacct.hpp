@@ -1,8 +1,6 @@
 #pragma once
 
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "common/units.hpp"
 #include "hwsim/node.hpp"
@@ -18,8 +16,8 @@ struct JobRecord {
   Joules consumed_energy{0};  ///< node (HDEEM-fed) energy
 };
 
-/// Simulated SLURM accounting: brackets a "job" on one node and records wall
-/// time and node energy, queryable afterwards (paper Sec. V-D measures job
+/// Simulated SLURM accounting: brackets a "job" on one node and reports its
+/// wall time and node energy when it ends (paper Sec. V-D measures job
 /// energy and time via sacct).
 class Sacct final : public hwsim::PowerListener {
  public:
@@ -30,23 +28,14 @@ class Sacct final : public hwsim::PowerListener {
 
   /// Starts accounting a job.
   void job_start(std::string job_name);
-  /// Ends the job and stores its record.
+  /// Ends the job and returns its record.
   JobRecord job_end();
-
-  /// All completed job records, oldest first.
-  [[nodiscard]] const std::vector<JobRecord>& records() const {
-    return records_;
-  }
-  /// Most recent record for `job_name`, if any.
-  [[nodiscard]] std::optional<JobRecord> query(
-      const std::string& job_name) const;
 
   // PowerListener:
   void on_segment(Seconds duration, Watts node_power, Watts cpu_power) override;
 
  private:
   hwsim::NodeSimulator& node_;
-  std::vector<JobRecord> records_;
   bool active_ = false;
   std::string current_name_;
   Joules acc_energy_{0};

@@ -7,7 +7,6 @@ namespace ecotune::hwsim {
 Cluster::Cluster(CpuSpec spec, std::uint64_t seed, PerfParams perf,
                  PowerParams power)
     : spec_(std::move(spec)),
-      seed_(seed),
       perf_(perf),
       power_(power),
       rng_(seed) {}
@@ -22,18 +21,6 @@ NodeSimulator& Cluster::node(int id) {
              .first;
   }
   return *it->second;
-}
-
-NodeSimulator& Cluster::allocate() {
-  NodeSimulator& n = node(next_alloc_);
-  next_alloc_ = (next_alloc_ + 1) % pool_size_;
-  return n;
-}
-
-void Cluster::set_pool_size(int n) {
-  ensure(n > 0, "Cluster::set_pool_size: need at least one node");
-  pool_size_ = n;
-  next_alloc_ = next_alloc_ % n;
 }
 
 }  // namespace ecotune::hwsim

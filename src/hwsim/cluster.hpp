@@ -22,27 +22,14 @@ class Cluster {
   /// use. References remain valid for the cluster's lifetime.
   [[nodiscard]] NodeSimulator& node(int id);
 
-  /// Simulates SLURM allocating "some node" for a job: round-robin over a
-  /// small pool, so repeated jobs land on different hardware (the power-
-  /// variability pitfall of paper Sec. IV-B).
-  [[nodiscard]] NodeSimulator& allocate();
-
   [[nodiscard]] const CpuSpec& spec() const { return spec_; }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  [[nodiscard]] std::size_t nodes_created() const { return nodes_.size(); }
-
-  /// Size of the allocate() rotation pool.
-  void set_pool_size(int n);
 
  private:
   CpuSpec spec_;
-  std::uint64_t seed_;
   PerfParams perf_;
   PowerParams power_;
   Rng rng_;
   std::map<int, std::unique_ptr<NodeSimulator>> nodes_;
-  int pool_size_ = 8;
-  int next_alloc_ = 0;
 };
 
 }  // namespace ecotune::hwsim

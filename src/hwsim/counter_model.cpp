@@ -133,11 +133,4 @@ PmuCounts CounterModel::evaluate(const CpuSpec& spec, const KernelTraits& k,
   return c;
 }
 
-double CounterModel::value(PmuEvent e, const CpuSpec& spec,
-                           const KernelTraits& k, int threads, CoreFreq core,
-                           UncoreFreq uncore, const PerfResult& perf) {
-  return evaluate(spec, k, threads, core, uncore,
-                  perf)[static_cast<std::size_t>(static_cast<int>(e))];
-}
-
 }  // namespace ecotune::hwsim

@@ -23,12 +23,6 @@ class CounterModel {
                                           const KernelTraits& k, int threads,
                                           CoreFreq core, UncoreFreq uncore,
                                           const PerfResult& perf);
-
-  /// Single event accessor (convenience over evaluate()).
-  [[nodiscard]] static double value(PmuEvent e, const CpuSpec& spec,
-                                    const KernelTraits& k, int threads,
-                                    CoreFreq core, UncoreFreq uncore,
-                                    const PerfResult& perf);
 };
 
 }  // namespace ecotune::hwsim

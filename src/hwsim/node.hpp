@@ -52,7 +52,6 @@ class NodeSimulator {
   [[nodiscard]] const CpuSpec& spec() const { return spec_; }
   [[nodiscard]] int node_id() const { return node_id_; }
   [[nodiscard]] const NodeVariability& variability() const { return var_; }
-  [[nodiscard]] const PerfModel& perf_model() const { return perf_; }
   [[nodiscard]] const PowerModel& power_model() const { return power_; }
 
   /// Raw frequency state changes (no transition latency; use X86Adapt for
@@ -87,8 +86,6 @@ class NodeSimulator {
   /// Relative stddev of run-to-run time/power jitter (OS noise). Tests can
   /// set it to zero for exact determinism.
   void set_jitter(double relative_stddev) { jitter_ = relative_stddev; }
-  [[nodiscard]] double jitter() const { return jitter_; }
-
   /// Cheap value snapshot of the full node state (frequencies, clock,
   /// variability, noise stream) with NO listeners attached. The parallel
   /// sweep engines hand one clone to each task so concurrent evaluations

@@ -1,101 +1,32 @@
 #include "hwsim/pmu_events.hpp"
 
-#include <unordered_map>
-
 #include "common/error.hpp"
 
 namespace ecotune::hwsim {
 namespace {
 
-struct EventInfo {
-  std::string_view name;
-  std::string_view description;
+/// PAPI-style preset names, in PmuEvent order.
+constexpr std::array<std::string_view, kPmuEventCount> kNames{
+    "PAPI_L1_DCM", "PAPI_L1_ICM", "PAPI_L2_DCM", "PAPI_L2_ICM", "PAPI_L1_TCM",
+    "PAPI_L2_TCM", "PAPI_L3_TCM", "PAPI_L3_LDM", "PAPI_TLB_DM", "PAPI_TLB_IM",
+    "PAPI_L1_LDM", "PAPI_L1_STM", "PAPI_L2_LDM", "PAPI_L2_STM", "PAPI_STL_ICY",
+    "PAPI_FUL_ICY", "PAPI_STL_CCY", "PAPI_FUL_CCY", "PAPI_BR_UCN", "PAPI_BR_CN",
+    "PAPI_BR_TKN", "PAPI_BR_NTK", "PAPI_BR_MSP", "PAPI_BR_PRC", "PAPI_TOT_INS",
+    "PAPI_LD_INS", "PAPI_SR_INS", "PAPI_BR_INS", "PAPI_RES_STL", "PAPI_TOT_CYC",
+    "PAPI_LST_INS", "PAPI_L2_DCA", "PAPI_L3_DCA", "PAPI_L2_DCR", "PAPI_L3_DCR",
+    "PAPI_L2_DCW", "PAPI_L3_DCW", "PAPI_L2_ICH", "PAPI_L2_ICA", "PAPI_L3_ICA",
+    "PAPI_L2_ICR", "PAPI_L3_ICR", "PAPI_L2_TCA", "PAPI_L3_TCA", "PAPI_L2_TCR",
+    "PAPI_L3_TCR", "PAPI_L2_TCW", "PAPI_L3_TCW", "PAPI_FDV_INS", "PAPI_FP_OPS",
+    "PAPI_SP_OPS", "PAPI_DP_OPS", "PAPI_VEC_SP", "PAPI_VEC_DP", "PAPI_REF_CYC",
+    "PAPI_FP_INS",
 };
-
-constexpr std::array<EventInfo, kPmuEventCount> kInfo{{
-    {"PAPI_L1_DCM", "Level 1 data cache misses"},
-    {"PAPI_L1_ICM", "Level 1 instruction cache misses"},
-    {"PAPI_L2_DCM", "Level 2 data cache misses"},
-    {"PAPI_L2_ICM", "Level 2 instruction cache misses"},
-    {"PAPI_L1_TCM", "Level 1 cache misses"},
-    {"PAPI_L2_TCM", "Level 2 cache misses"},
-    {"PAPI_L3_TCM", "Level 3 cache misses"},
-    {"PAPI_L3_LDM", "Level 3 load misses"},
-    {"PAPI_TLB_DM", "Data translation lookaside buffer misses"},
-    {"PAPI_TLB_IM", "Instruction translation lookaside buffer misses"},
-    {"PAPI_L1_LDM", "Level 1 load misses"},
-    {"PAPI_L1_STM", "Level 1 store misses"},
-    {"PAPI_L2_LDM", "Level 2 load misses"},
-    {"PAPI_L2_STM", "Level 2 store misses"},
-    {"PAPI_STL_ICY", "Cycles with no instruction issue"},
-    {"PAPI_FUL_ICY", "Cycles with maximum instruction issue"},
-    {"PAPI_STL_CCY", "Cycles with no instructions completed"},
-    {"PAPI_FUL_CCY", "Cycles with maximum instructions completed"},
-    {"PAPI_BR_UCN", "Unconditional branch instructions"},
-    {"PAPI_BR_CN", "Conditional branch instructions"},
-    {"PAPI_BR_TKN", "Conditional branch instructions taken"},
-    {"PAPI_BR_NTK", "Conditional branch instructions not taken"},
-    {"PAPI_BR_MSP", "Conditional branch instructions mispredicted"},
-    {"PAPI_BR_PRC", "Conditional branch instructions correctly predicted"},
-    {"PAPI_TOT_INS", "Instructions completed"},
-    {"PAPI_LD_INS", "Load instructions"},
-    {"PAPI_SR_INS", "Store instructions"},
-    {"PAPI_BR_INS", "Branch instructions"},
-    {"PAPI_RES_STL", "Cycles stalled on any resource"},
-    {"PAPI_TOT_CYC", "Total cycles"},
-    {"PAPI_LST_INS", "Load/store instructions completed"},
-    {"PAPI_L2_DCA", "Level 2 data cache accesses"},
-    {"PAPI_L3_DCA", "Level 3 data cache accesses"},
-    {"PAPI_L2_DCR", "Level 2 data cache reads"},
-    {"PAPI_L3_DCR", "Level 3 data cache reads"},
-    {"PAPI_L2_DCW", "Level 2 data cache writes"},
-    {"PAPI_L3_DCW", "Level 3 data cache writes"},
-    {"PAPI_L2_ICH", "Level 2 instruction cache hits"},
-    {"PAPI_L2_ICA", "Level 2 instruction cache accesses"},
-    {"PAPI_L3_ICA", "Level 3 instruction cache accesses"},
-    {"PAPI_L2_ICR", "Level 2 instruction cache reads"},
-    {"PAPI_L3_ICR", "Level 3 instruction cache reads"},
-    {"PAPI_L2_TCA", "Level 2 total cache accesses"},
-    {"PAPI_L3_TCA", "Level 3 total cache accesses"},
-    {"PAPI_L2_TCR", "Level 2 total cache reads"},
-    {"PAPI_L3_TCR", "Level 3 total cache reads"},
-    {"PAPI_L2_TCW", "Level 2 total cache writes"},
-    {"PAPI_L3_TCW", "Level 3 total cache writes"},
-    {"PAPI_FDV_INS", "Floating-point divide instructions"},
-    {"PAPI_FP_OPS", "Floating-point operations"},
-    {"PAPI_SP_OPS", "Single-precision floating-point operations"},
-    {"PAPI_DP_OPS", "Double-precision floating-point operations"},
-    {"PAPI_VEC_SP", "Single-precision vector/SIMD instructions"},
-    {"PAPI_VEC_DP", "Double-precision vector/SIMD instructions"},
-    {"PAPI_REF_CYC", "Reference clock cycles"},
-    {"PAPI_FP_INS", "Floating-point instructions"},
-}};
 
 }  // namespace
 
 std::string_view pmu_event_name(PmuEvent e) {
   const int i = static_cast<int>(e);
   ensure(i >= 0 && i < kPmuEventCount, "pmu_event_name: invalid event");
-  return kInfo[static_cast<std::size_t>(i)].name;
-}
-
-std::string_view pmu_event_description(PmuEvent e) {
-  const int i = static_cast<int>(e);
-  ensure(i >= 0 && i < kPmuEventCount, "pmu_event_description: invalid event");
-  return kInfo[static_cast<std::size_t>(i)].description;
-}
-
-std::optional<PmuEvent> pmu_event_from_name(std::string_view n) {
-  static const auto* map = [] {
-    auto* m = new std::unordered_map<std::string_view, PmuEvent>();
-    for (int i = 0; i < kPmuEventCount; ++i)
-      m->emplace(kInfo[static_cast<std::size_t>(i)].name,
-                 static_cast<PmuEvent>(i));
-    return m;
-  }();
-  auto it = map->find(n);
-  if (it == map->end()) return std::nullopt;
-  return it->second;
+  return kNames[static_cast<std::size_t>(i)];
 }
 
 const std::array<PmuEvent, kPmuEventCount>& all_pmu_events() {

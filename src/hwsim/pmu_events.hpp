@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <string_view>
 
 namespace ecotune::hwsim {
@@ -74,12 +73,6 @@ inline constexpr int kPmuEventCount = static_cast<int>(PmuEvent::kCount);
 
 /// PAPI-style name, e.g. "PAPI_BR_NTK".
 [[nodiscard]] std::string_view pmu_event_name(PmuEvent e);
-
-/// Human-readable description.
-[[nodiscard]] std::string_view pmu_event_description(PmuEvent e);
-
-/// Lookup by PAPI-style name; nullopt if unknown.
-[[nodiscard]] std::optional<PmuEvent> pmu_event_from_name(std::string_view n);
 
 /// All preset events in enum order.
 [[nodiscard]] const std::array<PmuEvent, kPmuEventCount>& all_pmu_events();

@@ -9,12 +9,6 @@ Seconds X86Adapt::charge(Seconds latency) {
   return latency;
 }
 
-Seconds X86Adapt::set_core_freq(int core, CoreFreq f) {
-  if (node_.core_freq(core) == f) return Seconds(0);
-  node_.set_core_freq(core, f);
-  return charge(node_.spec().core_switch_latency);
-}
-
 Seconds X86Adapt::set_all_core_freqs(CoreFreq f) {
   bool changed = false;
   for (int c = 0; c < node_.spec().total_cores(); ++c) {
@@ -26,12 +20,6 @@ Seconds X86Adapt::set_all_core_freqs(CoreFreq f) {
   return changed ? charge(node_.spec().core_switch_latency) : Seconds(0);
 }
 
-Seconds X86Adapt::set_uncore_freq(int socket, UncoreFreq f) {
-  if (node_.uncore_freq(socket) == f) return Seconds(0);
-  node_.set_uncore_freq(socket, f);
-  return charge(node_.spec().uncore_switch_latency);
-}
-
 Seconds X86Adapt::set_all_uncore_freqs(UncoreFreq f) {
   bool changed = false;
   for (int s = 0; s < node_.spec().sockets; ++s) {
@@ -41,11 +29,6 @@ Seconds X86Adapt::set_all_uncore_freqs(UncoreFreq f) {
     }
   }
   return changed ? charge(node_.spec().uncore_switch_latency) : Seconds(0);
-}
-
-void X86Adapt::reset_accounting() {
-  switch_time_ = Seconds(0);
-  switch_count_ = 0;
 }
 
 }  // namespace ecotune::hwsim

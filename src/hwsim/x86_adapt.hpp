@@ -14,29 +14,17 @@ class X86Adapt {
  public:
   explicit X86Adapt(NodeSimulator& node) : node_(node) {}
 
-  /// Sets one core's frequency; returns the charged latency.
-  Seconds set_core_freq(int core, CoreFreq f);
-  /// Sets all cores; MSR writes on distinct cores proceed concurrently, so
-  /// one transition latency is charged for the whole gang.
+  /// Sets all cores and returns the charged latency. MSR writes on distinct
+  /// cores proceed concurrently, so one transition latency is charged for
+  /// the whole gang.
   Seconds set_all_core_freqs(CoreFreq f);
-  /// Sets one socket's uncore frequency; returns the charged latency.
-  Seconds set_uncore_freq(int socket, UncoreFreq f);
-  /// Sets both sockets (concurrent; one latency).
+  /// Sets both sockets' uncore frequency (concurrent; one latency).
   Seconds set_all_uncore_freqs(UncoreFreq f);
-
-  [[nodiscard]] CoreFreq core_freq(int core) const {
-    return node_.core_freq(core);
-  }
-  [[nodiscard]] UncoreFreq uncore_freq(int socket) const {
-    return node_.uncore_freq(socket);
-  }
 
   /// Cumulative time spent in frequency transitions.
   [[nodiscard]] Seconds total_switch_time() const { return switch_time_; }
   /// Number of switch operations that actually changed a frequency.
   [[nodiscard]] long switch_count() const { return switch_count_; }
-  /// Resets the overhead accounting.
-  void reset_accounting();
 
  private:
   Seconds charge(Seconds latency);

@@ -35,10 +35,6 @@ class InstrumentationFilter {
     return !excluded_.contains(region);
   }
 
-  [[nodiscard]] const std::set<std::string>& excluded() const {
-    return excluded_;
-  }
-
   /// Serializes in Score-P filter-file syntax.
   [[nodiscard]] std::string to_filter_file() const;
   /// Parses a filter file produced by to_filter_file().

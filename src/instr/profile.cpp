@@ -2,25 +2,7 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace ecotune::instr {
-
-std::string_view to_string(RegionType t) {
-  switch (t) {
-    case RegionType::kFunction:
-      return "function";
-    case RegionType::kOmpParallel:
-      return "omp_parallel";
-    case RegionType::kMpi:
-      return "mpi";
-    case RegionType::kPhase:
-      return "phase";
-    case RegionType::kUser:
-      return "user";
-  }
-  return "?";
-}
 
 void CallTreeProfile::add_sample(const RegionExit& e) {
   const std::string key(e.region);
@@ -40,17 +22,6 @@ void CallTreeProfile::add_sample(const RegionExit& e) {
   s.total_node_energy += e.node_energy;
   s.min_time = std::min(s.min_time, e.duration());
   s.max_time = std::max(s.max_time, e.duration());
-}
-
-bool CallTreeProfile::contains(const std::string& region) const {
-  return stats_.count(region) > 0;
-}
-
-const RegionStats& CallTreeProfile::stats(const std::string& region) const {
-  auto it = stats_.find(region);
-  ensure(it != stats_.end(),
-         "CallTreeProfile::stats: unknown region '" + region + "'");
-  return it->second;
 }
 
 std::vector<RegionStats> CallTreeProfile::all() const {

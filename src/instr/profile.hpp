@@ -41,10 +41,6 @@ class CallTreeProfile final : public RegionListener {
   // RegionListener: profile runs simply subscribe to the runtime.
   void on_exit(const RegionExit& e) override { add_sample(e); }
 
-  /// True if the region appears in the profile.
-  [[nodiscard]] bool contains(const std::string& region) const;
-  /// Stats for one region; throws if absent.
-  [[nodiscard]] const RegionStats& stats(const std::string& region) const;
   /// All regions, insertion-ordered (phase region included).
   [[nodiscard]] std::vector<RegionStats> all() const;
 

@@ -11,8 +11,6 @@ namespace ecotune::instr {
 /// Kind of instrumented region, as Score-P classifies them.
 enum class RegionType { kFunction, kOmpParallel, kMpi, kPhase, kUser };
 
-[[nodiscard]] std::string_view to_string(RegionType t);
-
 /// Payload delivered when an instrumented region is entered. Listeners (RRL,
 /// tracers, profilers) may switch the configuration here -- before the
 /// region's work executes.

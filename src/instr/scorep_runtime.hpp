@@ -53,9 +53,6 @@ class ScorepRuntime {
   /// Registers a region-event listener (not owned).
   void add_listener(RegionListener* l);
 
-  [[nodiscard]] const InstrumentationFilter& filter() const { return filter_; }
-  [[nodiscard]] const workload::Benchmark& app() const { return app_; }
-
   /// Runs the full application (all phase iterations).
   AppRunResult execute(ExecutionContext& ctx);
 

@@ -73,15 +73,6 @@ EnergyDataset EnergyDataset::subset(
   return out;
 }
 
-EnergyDataset EnergyDataset::subset_benchmark(
-    const std::string& benchmark) const {
-  EnergyDataset out;
-  out.feature_names = feature_names;
-  for (const auto& s : samples)
-    if (s.benchmark == benchmark) out.samples.push_back(s);
-  return out;
-}
-
 DataAcquisition::DataAcquisition(hwsim::NodeSimulator& node,
                                  AcquisitionOptions options)
     : node_(node), options_(options), rng_(options.seed) {}

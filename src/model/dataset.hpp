@@ -47,9 +47,6 @@ struct EnergyDataset {
   /// Subset by sample indices.
   [[nodiscard]] EnergyDataset subset(
       const std::vector<std::size_t>& idx) const;
-  /// Subset of all samples belonging to `benchmark`.
-  [[nodiscard]] EnergyDataset subset_benchmark(
-      const std::string& benchmark) const;
 };
 
 /// All-preset counter survey used for the counter-selection experiment

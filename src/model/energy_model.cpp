@@ -91,8 +91,7 @@ void EnergyModel::train(const EnergyDataset& train, int epochs) {
 
 void EnergyModel::set_trained() {
   trained_ = true;
-  canonical_json_ = to_json().dump(-1);
-  canonical_digest_ = Fingerprint::Text::of(canonical_json_);
+  canonical_digest_ = Fingerprint::Text::of(to_json().dump(-1));
 }
 
 void EnergyModel::predict_rows(const stats::Matrix& raw,
@@ -199,29 +198,6 @@ std::vector<FrequencyRecommendation> EnergyModel::recommend_many(
   return recs;
 }
 
-std::vector<std::vector<double>> EnergyModel::predict_surface(
-    const std::map<std::string, double>& counter_rates,
-    const hwsim::CpuSpec& spec) const {
-  ensure(trained_, "EnergyModel::predict_surface: model not trained");
-  const auto& cfs = spec.core_grid.values();
-  const auto& ucfs = spec.uncore_grid.values();
-  const std::size_t width = paper_feature_events().size() + 2;
-  stats::Matrix rows(cfs.size() * ucfs.size(), width);
-  fill_grid_features(counter_rates, spec, rows, 0);
-  const std::vector<double> energy = predict_batch(rows);
-  std::vector<std::vector<double>> surface;
-  surface.reserve(cfs.size());
-  std::size_t r = 0;
-  for (std::size_t ci = 0; ci < cfs.size(); ++ci) {
-    std::vector<double> row(energy.begin() + static_cast<std::ptrdiff_t>(r),
-                            energy.begin() +
-                                static_cast<std::ptrdiff_t>(r + ucfs.size()));
-    r += ucfs.size();
-    surface.push_back(std::move(row));
-  }
-  return surface;
-}
-
 Json EnergyModel::to_json() const {
   ensure(trained_, "EnergyModel::to_json: model not trained");
   Json j = Json::object();
@@ -248,11 +224,6 @@ EnergyModel EnergyModel::from_json(const Json& j) {
   m.config_.ensemble = static_cast<int>(m.nets_.size());
   m.set_trained();
   return m;
-}
-
-const std::string& EnergyModel::canonical_json() const {
-  ensure(trained_, "EnergyModel::canonical_json: model not trained");
-  return canonical_json_;
 }
 
 const Fingerprint::Text& EnergyModel::canonical_digest() const {

@@ -88,30 +88,20 @@ class EnergyModel {
       const std::vector<std::map<std::string, double>>& rate_sets,
       const hwsim::CpuSpec& spec) const;
 
-  /// Full predicted surface over the grids (for Figs. 6-7 style heatmaps):
-  /// row-major [cf index][ucf index].
-  [[nodiscard]] std::vector<std::vector<double>> predict_surface(
-      const std::map<std::string, double>& counter_rates,
-      const hwsim::CpuSpec& spec) const;
-
   /// Serialization of scaler + network weights (the "tuning plugin input").
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static EnergyModel from_json(const Json& j);
 
-  /// to_json().dump(-1), rendered once when the model was trained or
-  /// loaded.
-  [[nodiscard]] const std::string& canonical_json() const;
-
-  /// Fingerprint::Text::of(canonical_json()), hashed at the same time.
-  /// Cache fingerprints fold this in, so they neither re-serialize nor
-  /// re-hash the weights on every request.
+  /// Fingerprint::Text::of(to_json().dump(-1)), hashed once when the model
+  /// was trained or loaded. Cache fingerprints fold this in, so they
+  /// neither re-serialize nor re-hash the weights on every request.
   [[nodiscard]] const Fingerprint::Text& canonical_digest() const;
 
  private:
   /// The shared batched core: scales `raw` (n x features) once and writes
   /// the ensemble-mean prediction per row into `out` (out.size() == n).
   void predict_rows(const stats::Matrix& raw, std::span<double> out) const;
-  /// Marks the model trained and renders its canonical text and digest.
+  /// Marks the model trained and hashes its canonical text.
   void set_trained();
   /// Builds the CF x UCF grid feature matrix (CF-major, UCF-minor row
   /// order) for one counter-rate signature into `rows` starting at
@@ -124,8 +114,7 @@ class EnergyModel {
   stats::StandardScaler scaler_;
   std::vector<nn::Mlp> nets_;  ///< ensemble members (>= 1 when trained)
   bool trained_ = false;
-  /// Both set whenever trained_ becomes true (set_trained()).
-  std::string canonical_json_;
+  /// Set whenever trained_ becomes true (set_trained()).
   Fingerprint::Text canonical_digest_;
 };
 

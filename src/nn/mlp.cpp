@@ -74,13 +74,6 @@ void Mlp::forward_batch(const stats::Matrix& x, std::span<double> out,
                          /*mean=*/false);
 }
 
-std::vector<double> Mlp::forward_batch(const stats::Matrix& x,
-                                       Workspace& ws) const {
-  std::vector<double> out(x.rows());
-  forward_batch(x, std::span<double>(out), ws);
-  return out;
-}
-
 double Mlp::train_sample(std::span<const double> x,
                          std::span<const double> y) {
   ensure(x.size() == input_size(), "Mlp::train_sample: input size mismatch");
@@ -236,13 +229,6 @@ void forward_batch_ensemble(std::span<const Mlp> nets, const stats::Matrix& x,
          "forward_batch_ensemble: output size mismatch");
   if (x.rows() == 0) return;
   Mlp::forward_rows(nets, x.data().data(), x.rows(), out.data(), ws, mean);
-}
-
-std::size_t Mlp::parameter_count() const {
-  std::size_t n = 0;
-  for (const auto& layer : layers_)
-    n += layer.w.rows() * layer.w.cols() + layer.b.size();
-  return n;
 }
 
 namespace {

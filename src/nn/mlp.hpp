@@ -100,8 +100,6 @@ class Mlp {
   /// x.rows()). Bitwise identical to predict() on each row.
   void forward_batch(const stats::Matrix& x, std::span<double> out,
                      Workspace& ws) const;
-  [[nodiscard]] std::vector<double> forward_batch(const stats::Matrix& x,
-                                                  Workspace& ws) const;
 
   /// One forward/backward pass and ADAM update on a single sample of a
   /// scalar-output network; returns the sample's squared-error loss before
@@ -121,9 +119,6 @@ class Mlp {
   /// exactly where the original left off.
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static Mlp from_json(const Json& j);
-
-  /// Total number of trainable parameters.
-  [[nodiscard]] std::size_t parameter_count() const;
 
  private:
   struct Layer {

@@ -112,7 +112,6 @@ class PowerCapObjective final : public TuningObjective {
                              double weight = kDefaultWeight);
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] double evaluate(const Measurement& m) const override;
-  [[nodiscard]] double cap_watts() const { return cap_watts_; }
 
   static constexpr double kDefaultCapWatts = 300.0;
   static constexpr double kDefaultWeight = 10.0;
@@ -133,7 +132,6 @@ class EnergyBudgetObjective final : public TuningObjective {
                                  double weight = kDefaultWeight);
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] double evaluate(const Measurement& m) const override;
-  [[nodiscard]] double budget_joules() const { return budget_joules_; }
 
   static constexpr double kDefaultBudgetJoules = 10000.0;
   static constexpr double kDefaultWeight = 10.0;

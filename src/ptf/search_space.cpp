@@ -6,9 +6,6 @@
 
 namespace ecotune::ptf {
 
-SearchSpace::SearchSpace(std::vector<TuningParameter> params)
-    : params_(std::move(params)) {}
-
 void SearchSpace::add_parameter(TuningParameter p) {
   ensure(!p.values.empty(), "SearchSpace: parameter without values");
   params_.push_back(std::move(p));
@@ -24,19 +21,6 @@ std::uint64_t SearchSpace::size() const {
     n *= m;
   }
   return n;
-}
-
-Scenario SearchSpace::scenario_at(std::uint64_t index) const {
-  ensure(index < size(), "SearchSpace::scenario_at: index out of range");
-  Scenario s;
-  s.id = static_cast<std::int64_t>(index);
-  std::uint64_t rem = index;
-  for (const auto& p : params_) {
-    const auto m = static_cast<std::uint64_t>(p.values.size());
-    s.values[p.name] = p.values[static_cast<std::size_t>(rem % m)];
-    rem /= m;
-  }
-  return s;
 }
 
 ScenarioCursor::ScenarioCursor(const SearchSpace& space)

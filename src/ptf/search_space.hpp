@@ -12,11 +12,9 @@ class SearchSpace;
 
 /// Lazy odometer over a SearchSpace's cartesian product: yields the same
 /// scenarios as SearchSpace::exhaustive(), in the same order and with the
-/// same ids, without ever materializing the product. Together with
-/// SearchSpace::scenario_at() (O(#params) random access) this is the
-/// enumeration substrate for sweeping spaces too large to materialize;
-/// today's plugin spaces are small enough that consumers still pass
-/// materialized vectors around.
+/// same ids, without materializing the product, so spaces too large to
+/// hold in memory can still be swept. Today's plugin spaces are small
+/// enough that consumers still pass materialized vectors around.
 class ScenarioCursor {
  public:
   explicit ScenarioCursor(const SearchSpace& space);
@@ -38,9 +36,6 @@ class ScenarioCursor {
 /// reduced (neighborhood) enumeration strategies the plugin uses.
 class SearchSpace {
  public:
-  SearchSpace() = default;
-  explicit SearchSpace(std::vector<TuningParameter> params);
-
   void add_parameter(TuningParameter p);
   [[nodiscard]] const std::vector<TuningParameter>& parameters() const {
     return params_;
@@ -57,10 +52,6 @@ class SearchSpace {
 
   /// Lazy enumerator over the same sequence as exhaustive().
   [[nodiscard]] ScenarioCursor cursor() const { return ScenarioCursor(*this); }
-
-  /// Random access: the scenario exhaustive() would place at `index`
-  /// (parameter 0 varies fastest). O(#params), no materialization.
-  [[nodiscard]] Scenario scenario_at(std::uint64_t index) const;
 
   /// Applies fn to every scenario lazily, in enumeration order.
   template <typename Fn>

@@ -14,26 +14,6 @@ bool DynDetectReport::is_significant(const std::string& region) const {
                      });
 }
 
-Json DynDetectReport::to_config_file() const {
-  Json j = Json::object();
-  j["phase_region"] = "PHASE";
-  j["significance_threshold_ms"] = threshold.value() * 1e3;
-  Json regions = Json::array();
-  for (const auto& s : significant) {
-    Json r = Json::object();
-    r["name"] = s.name;
-    r["mean_time_ms"] = s.mean_time.value() * 1e3;
-    r["weight"] = s.weight;
-    regions.push_back(std::move(r));
-  }
-  j["significant_regions"] = std::move(regions);
-  Json omp = Json::object();
-  omp["lower"] = 12;
-  omp["step"] = 4;
-  j["omp_threads"] = std::move(omp);
-  return j;
-}
-
 DynDetectReport readex_dyn_detect(const instr::CallTreeProfile& profile,
                                   Seconds threshold) {
   DynDetectReport report;

@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/units.hpp"
 #include "instr/profile.hpp"
 
@@ -33,10 +32,6 @@ struct DynDetectReport {
   double inter_region_dynamism = 0.0;
 
   [[nodiscard]] bool is_significant(const std::string& region) const;
-
-  /// Serializes the plugin configuration file (significant regions, phase
-  /// region name, OpenMP thread range defaults).
-  [[nodiscard]] Json to_config_file() const;
 };
 
 /// The readex-dyn-detect tool: classifies profiled regions by the 100 ms

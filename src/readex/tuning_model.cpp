@@ -26,7 +26,6 @@ void TuningModel::add_region(const std::string& region,
   }
   it->regions.push_back(region);
   classifier_.emplace(region, it->id);
-  region_order_.push_back(region);
 }
 
 std::optional<SystemConfig> TuningModel::lookup(
@@ -40,8 +39,6 @@ int TuningModel::scenario_id(const std::string& region) const {
   auto it = classifier_.find(region);
   return it == classifier_.end() ? -1 : it->second;
 }
-
-std::vector<std::string> TuningModel::regions() const { return region_order_; }
 
 Json TuningModel::to_json() const {
   Json j = Json::object();

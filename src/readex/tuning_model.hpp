@@ -39,9 +39,6 @@ class TuningModel {
   }
   [[nodiscard]] std::size_t region_count() const { return classifier_.size(); }
 
-  /// All region names in insertion order.
-  [[nodiscard]] std::vector<std::string> regions() const;
-
   /// JSON serialization (the file RRL loads via SCOREP_RRL_TMM_PATH).
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static TuningModel from_json(const Json& j);
@@ -53,7 +50,6 @@ class TuningModel {
   /// The classifier: maps each region onto a unique scenario (paper
   /// Sec. III-D).
   std::map<std::string, int> classifier_;
-  std::vector<std::string> region_order_;
 };
 
 }  // namespace ecotune::readex

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
-
 namespace ecotune::stats {
 
 double mean(std::span<const double> xs) {
@@ -13,39 +11,12 @@ double mean(std::span<const double> xs) {
   return s / static_cast<double>(xs.size());
 }
 
-double variance(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size() - 1);
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
 double stddev_population(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   const double m = mean(xs);
   double s = 0.0;
   for (double x : xs) s += (x - m) * (x - m);
   return std::sqrt(s / static_cast<double>(xs.size()));
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  ensure(xs.size() == ys.size(), "pearson: size mismatch");
-  if (xs.size() < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace ecotune::stats

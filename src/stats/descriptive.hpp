@@ -8,19 +8,9 @@ namespace ecotune::stats {
 /// Arithmetic mean; 0 for empty input.
 [[nodiscard]] double mean(std::span<const double> xs);
 
-/// Sample variance (n-1 denominator); 0 for fewer than two values.
-[[nodiscard]] double variance(std::span<const double> xs);
-
-/// Sample standard deviation.
-[[nodiscard]] double stddev(std::span<const double> xs);
-
 /// Population standard deviation (n denominator), as used by the paper's
 /// feature standardization ("removing the mean and scaling to unit
 /// variance").
 [[nodiscard]] double stddev_population(std::span<const double> xs);
-
-/// Pearson correlation coefficient; 0 when either side is constant.
-[[nodiscard]] double pearson(std::span<const double> xs,
-                             std::span<const double> ys);
 
 }  // namespace ecotune::stats

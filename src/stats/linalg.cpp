@@ -9,39 +9,6 @@ namespace ecotune::stats {
 Matrix::Matrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
-  rows_ = rows.size();
-  cols_ = rows_ ? rows.begin()->size() : 0;
-  data_.reserve(rows_ * cols_);
-  for (const auto& r : rows) {
-    ensure(r.size() == cols_, "Matrix: ragged initializer list");
-    data_.insert(data_.end(), r.begin(), r.end());
-  }
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::column(const std::vector<double>& values) {
-  Matrix m(values.size(), 1);
-  for (std::size_t i = 0; i < values.size(); ++i) m(i, 0) = values[i];
-  return m;
-}
-
-std::vector<double> Matrix::row(std::size_t r) const {
-  ensure(r < rows_, "Matrix::row: out of range");
-  return {data_.begin() + static_cast<std::ptrdiff_t>(r * cols_),
-          data_.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols_)};
-}
-
-std::span<const double> Matrix::row_span(std::size_t r) const {
-  ensure(r < rows_, "Matrix::row_span: out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
 std::span<double> Matrix::row_span(std::size_t r) {
   ensure(r < rows_, "Matrix::row_span: out of range");
   return {data_.data() + r * cols_, cols_};
@@ -71,45 +38,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
       for (std::size_t j = 0; j < rhs.cols_; ++j)
         out(i, j) += a * rhs(k, j);
     }
-  }
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  ensure(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-         "Matrix::operator+: dimension mismatch");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  ensure(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-         "Matrix::operator-: dimension mismatch");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  ensure(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-         "Matrix::operator+=: dimension mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (auto& v : data_) v *= s;
-  return *this;
-}
-
-std::vector<double> Matrix::apply(const std::vector<double>& x) const {
-  ensure(x.size() == cols_, "Matrix::apply: dimension mismatch");
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += (*this)(r, c) * x[c];
-    out[r] = acc;
   }
   return out;
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -17,12 +16,6 @@ class Matrix {
   Matrix() = default;
   /// rows x cols, zero-initialized.
   Matrix(std::size_t rows, std::size_t cols);
-  /// From nested initializer list (rows of equal length).
-  Matrix(std::initializer_list<std::initializer_list<double>> rows);
-
-  [[nodiscard]] static Matrix identity(std::size_t n);
-  /// Column vector from values.
-  [[nodiscard]] static Matrix column(const std::vector<double>& values);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -39,26 +32,16 @@ class Matrix {
   }
   [[nodiscard]] simd::aligned_vector<double>& data() { return data_; }
 
-  /// One row as a vector copy.
-  [[nodiscard]] std::vector<double> row(std::size_t r) const;
   /// One row as a non-owning view into the row-major storage. The view is
-  /// invalidated by any operation that reallocates the matrix; it exists so
-  /// per-sample hot paths (the NN training loop) can walk rows without a
-  /// heap allocation per visit.
-  [[nodiscard]] std::span<const double> row_span(std::size_t r) const;
+  /// invalidated by any operation that reallocates the matrix; it lets the
+  /// batched prediction path fill feature rows without a heap allocation
+  /// per row.
   [[nodiscard]] std::span<double> row_span(std::size_t r);
   /// One column as a vector copy.
   [[nodiscard]] std::vector<double> col(std::size_t c) const;
 
   [[nodiscard]] Matrix transpose() const;
   [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
-  [[nodiscard]] Matrix operator+(const Matrix& rhs) const;
-  [[nodiscard]] Matrix operator-(const Matrix& rhs) const;
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator*=(double s);
-
-  /// Matrix-vector product (x.size() == cols()).
-  [[nodiscard]] std::vector<double> apply(const std::vector<double>& x) const;
 
  private:
   std::size_t rows_ = 0;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "stats/descriptive.hpp"
 
 namespace ecotune::stats {
 
@@ -16,39 +15,6 @@ double mape(std::span<const double> y_true, std::span<const double> y_pred) {
     acc += std::fabs((y_true[i] - y_pred[i]) / y_true[i]);
   }
   return 100.0 * acc / static_cast<double>(y_true.size());
-}
-
-double mse(std::span<const double> y_true, std::span<const double> y_pred) {
-  ensure(y_true.size() == y_pred.size() && !y_true.empty(),
-         "mse: bad input sizes");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < y_true.size(); ++i) {
-    const double d = y_true[i] - y_pred[i];
-    acc += d * d;
-  }
-  return acc / static_cast<double>(y_true.size());
-}
-
-double mae(std::span<const double> y_true, std::span<const double> y_pred) {
-  ensure(y_true.size() == y_pred.size() && !y_true.empty(),
-         "mae: bad input sizes");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < y_true.size(); ++i)
-    acc += std::fabs(y_true[i] - y_pred[i]);
-  return acc / static_cast<double>(y_true.size());
-}
-
-double r2_score(std::span<const double> y_true,
-                std::span<const double> y_pred) {
-  ensure(y_true.size() == y_pred.size() && !y_true.empty(),
-         "r2_score: bad input sizes");
-  const double m = mean(y_true);
-  double ss_res = 0.0, ss_tot = 0.0;
-  for (std::size_t i = 0; i < y_true.size(); ++i) {
-    ss_res += (y_true[i] - y_pred[i]) * (y_true[i] - y_pred[i]);
-    ss_tot += (y_true[i] - m) * (y_true[i] - m);
-  }
-  return ss_tot > 0 ? 1.0 - ss_res / ss_tot : 0.0;
 }
 
 }  // namespace ecotune::stats

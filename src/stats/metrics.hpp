@@ -8,16 +8,4 @@ namespace ecotune::stats {
 [[nodiscard]] double mape(std::span<const double> y_true,
                           std::span<const double> y_pred);
 
-/// Mean squared error.
-[[nodiscard]] double mse(std::span<const double> y_true,
-                         std::span<const double> y_pred);
-
-/// Mean absolute error.
-[[nodiscard]] double mae(std::span<const double> y_true,
-                         std::span<const double> y_pred);
-
-/// Coefficient of determination.
-[[nodiscard]] double r2_score(std::span<const double> y_true,
-                              std::span<const double> y_pred);
-
 }  // namespace ecotune::stats

@@ -96,9 +96,4 @@ std::vector<double> vif_all(const Matrix& x) {
   return out;
 }
 
-double mean_vif(const Matrix& x) {
-  const auto v = vif_all(x);
-  return mean(v);
-}
-
 }  // namespace ecotune::stats

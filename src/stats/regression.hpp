@@ -34,7 +34,4 @@ struct OlsResult {
 /// VIF for every feature column.
 [[nodiscard]] std::vector<double> vif_all(const Matrix& x);
 
-/// Mean VIF across features (the paper's Table I headline statistic).
-[[nodiscard]] double mean_vif(const Matrix& x);
-
 }  // namespace ecotune::stats

@@ -17,13 +17,6 @@ void StandardScaler::fit(const Matrix& x) {
   }
 }
 
-void StandardScaler::transform_row(std::vector<double>& row) const {
-  ensure(fitted(), "StandardScaler: not fitted");
-  ensure(row.size() == mean_.size(), "StandardScaler: column mismatch");
-  for (std::size_t j = 0; j < row.size(); ++j)
-    row[j] = (row[j] - mean_[j]) / scale_[j];
-}
-
 Matrix StandardScaler::transform(const Matrix& x) const {
   Matrix out;
   transform_into(x, out);
@@ -38,13 +31,6 @@ void StandardScaler::transform_into(const Matrix& x, Matrix& out) const {
   for (std::size_t i = 0; i < x.rows(); ++i)
     for (std::size_t j = 0; j < x.cols(); ++j)
       out(i, j) = (x(i, j) - mean_[j]) / scale_[j];
-}
-
-void StandardScaler::inverse_transform_row(std::vector<double>& row) const {
-  ensure(fitted(), "StandardScaler: not fitted");
-  ensure(row.size() == mean_.size(), "StandardScaler: column mismatch");
-  for (std::size_t j = 0; j < row.size(); ++j)
-    row[j] = row[j] * scale_[j] + mean_[j];
 }
 
 Json StandardScaler::to_json() const {

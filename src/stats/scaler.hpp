@@ -18,16 +18,12 @@ class StandardScaler {
   [[nodiscard]] const std::vector<double>& mean() const { return mean_; }
   [[nodiscard]] const std::vector<double>& scale() const { return scale_; }
 
-  /// Standardizes one row in place.
-  void transform_row(std::vector<double>& row) const;
   /// Standardizes a copy of the whole matrix.
   [[nodiscard]] Matrix transform(const Matrix& x) const;
   /// Standardizes `x` into `out`, reusing out's storage when the shape
   /// already matches (the batched-prediction hot path). Elementwise
-  /// identical to transform()/transform_row().
+  /// identical to transform().
   void transform_into(const Matrix& x, Matrix& out) const;
-  /// Undoes the transform for one row.
-  void inverse_transform_row(std::vector<double>& row) const;
 
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static StandardScaler from_json(const Json& j);

@@ -104,11 +104,6 @@ StoreMode resolve_store_mode(const std::string& mode_text,
   return mode;
 }
 
-MeasurementStore::MeasurementStore(const std::string& cache_dir,
-                                   StoreMode mode) {
-  open(cache_dir, mode);
-}
-
 void MeasurementStore::open(const std::string& cache_dir, StoreMode mode,
                             std::string scope, std::size_t shards, int jobs) {
   // open() runs before any concurrent use (drivers open during CLI setup),

@@ -103,9 +103,6 @@ class MeasurementStore {
   /// Constructs a disabled (kOff) store; open() activates it.
   MeasurementStore() = default;
 
-  /// Convenience: construct and open.
-  MeasurementStore(const std::string& cache_dir, StoreMode mode);
-
   /// Opens the backing directory (created if missing in rw mode) and loads
   /// every valid entry of measurements.jsonl into memory. A line is valid
   /// when it is an object with a non-empty "task", a hex "fp" and a
@@ -135,7 +132,6 @@ class MeasurementStore {
 
   [[nodiscard]] bool enabled() const { return mode_ != StoreMode::kOff; }
   [[nodiscard]] StoreMode mode() const { return mode_; }
-  [[nodiscard]] const std::string& cache_dir() const { return dir_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   /// Returns the compact JSON bytes recorded for `key`, or nullopt on miss.

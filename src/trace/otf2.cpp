@@ -59,13 +59,6 @@ const std::string& Otf2Archive::metric_name(std::uint32_t id) const {
   return metric_names_[id];
 }
 
-std::uint32_t Otf2Archive::metric_id(const std::string& name) const {
-  auto it = metric_ids_.find(name);
-  ensure(it != metric_ids_.end(),
-         "Otf2Archive::metric_id: unknown metric '" + name + "'");
-  return it->second;
-}
-
 std::uint32_t Otf2Archive::region_id(const std::string& name) const {
   auto it = region_ids_.find(name);
   ensure(it != region_ids_.end(),

@@ -49,8 +49,6 @@ class Otf2Archive {
   }
   [[nodiscard]] const std::string& region_name(std::uint32_t id) const;
   [[nodiscard]] const std::string& metric_name(std::uint32_t id) const;
-  /// Id of a previously defined metric; throws if unknown.
-  [[nodiscard]] std::uint32_t metric_id(const std::string& name) const;
   /// Id of a previously defined region; throws if unknown.
   [[nodiscard]] std::uint32_t region_id(const std::string& name) const;
   [[nodiscard]] bool has_region(const std::string& name) const {

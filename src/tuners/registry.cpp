@@ -29,13 +29,6 @@ bool TunerRegistry::contains(const std::string& name) const {
   return entries_.contains(name);
 }
 
-std::vector<std::string> TunerRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, registered] : entries_) out.push_back(name);
-  return out;  // std::map iteration order is already sorted
-}
-
 std::string TunerRegistry::names_joined() const {
   std::string out;
   for (const auto& [name, registered] : entries_) {

@@ -35,8 +35,8 @@ struct TunerContext {
 };
 
 /// Name -> factory map of every registered tuning strategy. Names are the
-/// `--tuner` CLI vocabulary; names() is sorted so diagnostics and listings
-/// are deterministic.
+/// `--tuner` CLI vocabulary; names_joined() is sorted so diagnostics and
+/// listings are deterministic.
 class TunerRegistry {
  public:
   using Factory =
@@ -52,8 +52,6 @@ class TunerRegistry {
   /// Whether the registered strategy `name` uses the trained model; throws
   /// ConfigError like make() when `name` is unknown.
   [[nodiscard]] bool uses_model(const std::string& name) const;
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
   /// Comma-separated sorted names, for CLI diagnostics.
   [[nodiscard]] std::string names_joined() const;
 

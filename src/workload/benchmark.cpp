@@ -1,7 +1,5 @@
 #include "workload/benchmark.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
 
@@ -72,87 +70,6 @@ std::uint64_t Benchmark::fingerprint_digest() const {
         .add("activity", k.activity);
   }
   return fp.digest();
-}
-
-const Region* Benchmark::find_region(const std::string& name) const {
-  auto it = std::find_if(regions_.begin(), regions_.end(),
-                         [&](const Region& r) { return r.name == name; });
-  return it == regions_.end() ? nullptr : &*it;
-}
-
-double Benchmark::instructions_per_iteration() const {
-  double total = 0.0;
-  for (const auto& r : regions_)
-    total += r.traits.total_instructions * r.calls_per_iteration;
-  return total;
-}
-
-hwsim::KernelTraits Benchmark::phase_traits() const {
-  hwsim::KernelTraits agg;
-  const double total_ins = instructions_per_iteration();
-  ensure(total_ins > 0, "Benchmark::phase_traits: zero instruction count");
-
-  // Additive quantities sum; rates and fractions are instruction-weighted.
-  agg.total_instructions = total_ins;
-  agg.dram_bytes = 0;
-  agg.uncore_cycles = 0;
-  double w_ipc_inv = 0, w_load = 0, w_store = 0, w_branch = 0, w_brcn = 0,
-         w_taken = 0, w_miss = 0, w_l1d = 0, w_l1i = 0, w_l2 = 0, w_l3 = 0,
-         w_tlbd = 0, w_tlbi = 0, w_fp = 0, w_fpd = 0, w_vec = 0, w_div = 0,
-         w_par = 0, w_cont = 0, w_overlap = 0, w_act = 0;
-  double sync = 0;
-  for (const auto& r : regions_) {
-    const double w =
-        r.traits.total_instructions * r.calls_per_iteration / total_ins;
-    const auto& t = r.traits;
-    agg.dram_bytes += t.dram_bytes * r.calls_per_iteration;
-    agg.uncore_cycles += t.uncore_cycles * r.calls_per_iteration;
-    sync += t.sync_seconds_per_thread * r.calls_per_iteration;
-    w_ipc_inv += w / t.ipc_peak;
-    w_load += w * t.load_fraction;
-    w_store += w * t.store_fraction;
-    w_branch += w * t.branch_fraction;
-    w_brcn += w * t.branch_conditional_fraction;
-    w_taken += w * t.branch_taken_rate;
-    w_miss += w * t.branch_miss_rate;
-    w_l1d += w * t.l1d_miss_rate;
-    w_l1i += w * t.l1i_miss_rate;
-    w_l2 += w * t.l2_miss_rate;
-    w_l3 += w * t.l3_miss_rate;
-    w_tlbd += w * t.tlb_d_rate;
-    w_tlbi += w * t.tlb_i_rate;
-    w_fp += w * t.fp_fraction;
-    w_fpd += w * t.fp_double_fraction;
-    w_vec += w * t.vector_fraction;
-    w_div += w * t.fp_div_fraction;
-    w_par += w * t.parallel_fraction;
-    w_cont += w * t.contention;
-    w_overlap += w * t.overlap;
-    w_act += w * t.activity;
-  }
-  agg.ipc_peak = 1.0 / w_ipc_inv;
-  agg.load_fraction = w_load;
-  agg.store_fraction = w_store;
-  agg.branch_fraction = w_branch;
-  agg.branch_conditional_fraction = w_brcn;
-  agg.branch_taken_rate = w_taken;
-  agg.branch_miss_rate = w_miss;
-  agg.l1d_miss_rate = w_l1d;
-  agg.l1i_miss_rate = w_l1i;
-  agg.l2_miss_rate = w_l2;
-  agg.l3_miss_rate = w_l3;
-  agg.tlb_d_rate = w_tlbd;
-  agg.tlb_i_rate = w_tlbi;
-  agg.fp_fraction = w_fp;
-  agg.fp_double_fraction = w_fpd;
-  agg.vector_fraction = w_vec;
-  agg.fp_div_fraction = w_div;
-  agg.parallel_fraction = w_par;
-  agg.contention = w_cont;
-  agg.overlap = w_overlap;
-  agg.activity = w_act;
-  agg.sync_seconds_per_thread = sync;
-  return agg;
 }
 
 }  // namespace ecotune::workload

@@ -47,9 +47,6 @@ class Benchmark {
     return instr_overhead_fraction_;
   }
 
-  /// Region lookup by name; nullptr if absent.
-  [[nodiscard]] const Region* find_region(const std::string& name) const;
-
   /// Copy of this benchmark with a different phase-iteration count (used to
   /// shorten runs when a few phase iterations suffice, as the paper does).
   [[nodiscard]] Benchmark with_iterations(int iterations) const {
@@ -57,13 +54,6 @@ class Benchmark {
     copy.phase_iterations_ = iterations;
     return copy;
   }
-
-  /// Instruction-weighted aggregate of all region traits: the phase region
-  /// viewed as a single kernel. Used for phase-level analysis runs.
-  [[nodiscard]] hwsim::KernelTraits phase_traits() const;
-
-  /// Sum of per-iteration instruction counts (weights for aggregation).
-  [[nodiscard]] double instructions_per_iteration() const;
 
   /// Exact digest of everything that defines this benchmark's simulated
   /// behavior: identity, phase-iteration count, instrumentation overhead,

@@ -369,7 +369,6 @@ TEST(ApiModelEntry, ColdSessionWritesOneEntryAndWarmSessionLoadsIt) {
   api::Session warm(tiny_config().jobs(4).cache(dir).scope("m"));
   const model::EnergyModel& loaded = warm.train_model();
   EXPECT_EQ(loaded.to_json().dump(-1), cold_dump);
-  EXPECT_EQ(loaded.canonical_json(), cold_dump);
   EXPECT_EQ(warm.store().stats().misses, 0);
   EXPECT_EQ(warm.store().stats().writes, 0);
   EXPECT_EQ(model_lines(dir).size(), 1u);
@@ -381,7 +380,7 @@ TEST(ApiModelEntry, ColdSessionWritesOneEntryAndWarmSessionLoadsIt) {
 // the text, its size), or every stored DTA and savings row would miss.
 TEST(ApiModelEntry, CachedDigestFoldsInLikeTheCanonicalText) {
   const model::EnergyModel& trained = tiny_model();
-  const std::string& text = trained.canonical_json();
+  const std::string text = trained.to_json().dump(-1);
   EXPECT_EQ(trained.canonical_digest().hash, fnv1a(text));
   EXPECT_EQ(trained.canonical_digest().size, text.size());
 
@@ -418,18 +417,18 @@ TEST(ApiModelEntry, StoreWrittenAtAvx2AnswersAScalarSession) {
   {
     const simd::ScopedLevel avx2(simd::Level::kAvx2);
     api::Session cold(tiny_config().jobs(2).cache(dir).scope("m"));
-    avx2_json = cold.train_model().canonical_json();
+    avx2_json = cold.train_model().to_json().dump(-1);
   }
   const simd::ScopedLevel scalar(simd::Level::kScalar);
   {
     api::Session warm(tiny_config().jobs(2).cache(dir).scope("m"));
-    EXPECT_EQ(warm.train_model().canonical_json(), avx2_json);
+    EXPECT_EQ(warm.train_model().to_json().dump(-1), avx2_json);
     EXPECT_EQ(warm.store().stats().misses, 0);
     EXPECT_EQ(warm.store().stats().writes, 0);
   }
   // And what it loads is what the scalar level trains from scratch.
   api::Session fresh(tiny_config().jobs(2));
-  EXPECT_EQ(fresh.train_model().canonical_json(), avx2_json);
+  EXPECT_EQ(fresh.train_model().to_json().dump(-1), avx2_json);
   std::filesystem::remove_all(dir);
 }
 
@@ -726,7 +725,7 @@ TEST(ApiTuneRow, AnotherModelMissesTheDtaRowButNotTheStaticRow) {
     api::Session trainer(tiny_config().epochs(2).jobs(2));
     return trainer.train_model();
   }();
-  ASSERT_NE(other.canonical_json(), tiny_model().canonical_json());
+  ASSERT_NE(other.to_json().dump(-1), tiny_model().to_json().dump(-1));
 
   api::Session session(cheap_tune_config().cache(dir).scope("t"));
   session.use_model(std::move(other));
@@ -755,7 +754,7 @@ TEST(ApiTuneRow, ModelFreeTuneLeavesTheSessionUntrained) {
     api::Session session(config);
     (void)session.tune("static", app);
     (void)session.tune("ondemand", app, "", "k");
-    EXPECT_FALSE(session.has_model());
+    EXPECT_THROW(static_cast<void>(session.model()), Error);  // no model
   }
   std::filesystem::remove_all(dir);
 }
@@ -770,12 +769,11 @@ TEST(ApiSession, SeedConventionAndOverrides) {
 
 TEST(ApiSession, ModelLifecycle) {
   api::Session session(tiny_config());
-  EXPECT_FALSE(session.has_model());
   EXPECT_THROW(static_cast<void>(session.model()), Error);
   EXPECT_THROW(session.use_model(model::EnergyModel{}), Error);
 
   session.use_model(tiny_model());
-  ASSERT_TRUE(session.has_model());
+  ASSERT_NO_THROW(static_cast<void>(session.model()));
   // train_model() is idempotent once a model exists: same object back.
   const model::EnergyModel* first = &session.train_model();
   EXPECT_EQ(first, &session.train_model());

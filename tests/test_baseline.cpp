@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baseline/exhaustive_tuner.hpp"
 #include "baseline/static_tuner.hpp"
 #include "workload/suite.hpp"
@@ -92,8 +94,11 @@ TEST(ExhaustiveTuner, RegionOptimaAreAtLeastAsGoodAsAppOptimum) {
   // Verify region-best really beats (or ties) the app-best config for each
   // region, using a fresh noise-free evaluation.
   for (const auto& [name, best_cfg] : result.region_best) {
-    const auto* region = app.find_region(name);
-    ASSERT_NE(region, nullptr);
+    const auto region =
+        std::find_if(app.regions().begin(), app.regions().end(),
+                     [&](const workload::Region& r) { return r.name == name; });
+    ASSERT_NE(region, app.regions().end());
+
     node.set_all_core_freqs(best_cfg.core);
     node.set_all_uncore_freqs(best_cfg.uncore);
     const double e_best =

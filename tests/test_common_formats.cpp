@@ -9,12 +9,18 @@
 namespace ecotune {
 namespace {
 
+std::string render(const TextTable& t) {
+  std::ostringstream os;
+  t.print(os);
+  return os.str();
+}
+
 TEST(TextTable, AlignsColumnsAndPrintsHeader) {
   TextTable t("Title");
   t.header({"name", "value"});
   t.row({"x", "1"});
   t.row({"longer-name", "22"});
-  const std::string out = t.str();
+  const std::string out = render(t);
   EXPECT_NE(out.find("Title"), std::string::npos);
   EXPECT_NE(out.find("| name "), std::string::npos);
   EXPECT_NE(out.find("| longer-name |"), std::string::npos);
@@ -35,7 +41,7 @@ TEST(TextTable, HandlesShortRowsAndSeparators) {
   t.row({"only-one"});
   t.separator();
   t.row({"1", "2", "3"});
-  const std::string out = t.str();
+  const std::string out = render(t);
   EXPECT_NE(out.find("only-one"), std::string::npos);
 }
 

@@ -217,7 +217,8 @@ TEST(Json, RealAcquisitionStoreLineRoundTrips) {
                        ("ecotune_json_store_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   {
-    store::MeasurementStore store(dir.string(), store::StoreMode::kReadWrite);
+    store::MeasurementStore store;
+    store.open(dir.string(), store::StoreMode::kReadWrite);
     hwsim::NodeSimulator node(hwsim::haswell_ep_spec(), 0, Rng(5));
     model::AcquisitionOptions opts;
     opts.thread_counts = {24};

@@ -36,21 +36,6 @@ class PluginTest : public ::testing::Test {
 hwsim::NodeSimulator* PluginTest::node_ = nullptr;
 model::EnergyModel* PluginTest::trained_ = nullptr;
 
-TEST_F(PluginTest, ConfigFileRoundTrip) {
-  PluginConfig c;
-  c.omp_lower = 8;
-  c.omp_step = 8;
-  c.neighborhood_radius = 2;
-  c.objective = "edp";
-  const PluginConfig parsed =
-      PluginConfig::from_json(Json::parse(c.to_json().dump()));
-  EXPECT_EQ(parsed.omp_lower, 8);
-  EXPECT_EQ(parsed.omp_step, 8);
-  EXPECT_EQ(parsed.neighborhood_radius, 2);
-  EXPECT_EQ(parsed.objective, "edp");
-  EXPECT_DOUBLE_EQ(parsed.significance_threshold.value(), 0.1);
-}
-
 TEST_F(PluginTest, RejectsUntrainedModel) {
   model::EnergyModel untrained;
   EXPECT_THROW(DvfsUfsPlugin plugin(untrained), PreconditionError);

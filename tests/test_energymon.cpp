@@ -59,22 +59,6 @@ TEST_F(EnergymonTest, SacctRecordsJobEnergyAndTime) {
   EXPECT_NEAR(rec.consumed_energy.value(), run.node_energy.value(), 1e-9);
 }
 
-TEST_F(EnergymonTest, SacctQueryReturnsMostRecent) {
-  Sacct sacct(node_);
-  sacct.job_start("job");
-  node_.run_kernel(kernel(), 24);
-  sacct.job_end();
-  sacct.job_start("job");
-  node_.run_kernel(kernel(), 12);
-  const auto second = sacct.job_end();
-  const auto q = sacct.query("job");
-  ASSERT_TRUE(q.has_value());
-  EXPECT_DOUBLE_EQ(q->consumed_energy.value(),
-                   second.consumed_energy.value());
-  EXPECT_FALSE(sacct.query("nope").has_value());
-  EXPECT_EQ(sacct.records().size(), 2u);
-}
-
 TEST_F(EnergymonTest, SacctRejectsNestedJobs) {
   Sacct sacct(node_);
   sacct.job_start("a");

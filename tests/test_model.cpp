@@ -99,9 +99,14 @@ TEST_F(AcquisitionTest, DatasetSubsetOperations) {
   DataAcquisition acq(node_, fast_options());
   const auto ds = acq.acquire({workload::BenchmarkSuite::by_name("Lulesh"),
                                workload::BenchmarkSuite::by_name("Mcb")});
-  const auto lulesh = ds.subset_benchmark("Lulesh");
-  const auto mcb = ds.subset_benchmark("Mcb");
+  std::vector<std::size_t> lulesh_idx, mcb_idx;
+  for (std::size_t i = 0; i < ds.samples.size(); ++i)
+    (ds.samples[i].benchmark == "Lulesh" ? lulesh_idx : mcb_idx).push_back(i);
+  const auto lulesh = ds.subset(lulesh_idx);
+  const auto mcb = ds.subset(mcb_idx);
   EXPECT_EQ(lulesh.samples.size() + mcb.samples.size(), ds.samples.size());
+  for (const auto& s : mcb.samples) EXPECT_EQ(s.benchmark, "Mcb");
+
   for (const auto& s : lulesh.samples) EXPECT_EQ(s.benchmark, "Lulesh");
 
   const auto sub = ds.subset({0, 1, 2});
@@ -228,10 +233,11 @@ TEST_F(EnergyModelTest, RecommendationIsGridArgmin) {
   EXPECT_TRUE(node_.spec().core_grid.contains(rec.cf));
   EXPECT_TRUE(node_.spec().uncore_grid.contains(rec.ucf));
   // The recommendation matches the minimum of the predicted surface.
-  const auto surface = model.predict_surface(rates, node_.spec());
   double min_v = 1e300;
-  for (const auto& row : surface)
-    for (double v : row) min_v = std::min(min_v, v);
+  for (auto cf : node_.spec().core_grid.values())
+    for (auto ucf : node_.spec().uncore_grid.values())
+      min_v = std::min(min_v, model.predict(build_features(
+                                  rates, paper_feature_events(), cf, ucf)));
   EXPECT_DOUBLE_EQ(rec.predicted_normalized_energy, min_v);
 }
 

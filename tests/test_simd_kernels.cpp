@@ -18,6 +18,13 @@
 namespace ecotune::nn {
 namespace {
 
+/// Row `r` of `m` as a vector copy (the predict(std::vector) input).
+std::vector<double> row_of(const stats::Matrix& m, std::size_t r) {
+  const auto cols = static_cast<std::ptrdiff_t>(m.cols());
+  const auto first = m.data().begin() + static_cast<std::ptrdiff_t>(r) * cols;
+  return {first, first + cols};
+}
+
 std::vector<simd::Level> supported_levels() {
   std::vector<simd::Level> out{simd::Level::kScalar};
   if (simd::supported(simd::Level::kAvx2)) out.push_back(simd::Level::kAvx2);
@@ -138,7 +145,7 @@ Trace run_at(simd::Level level, const Case& c, std::size_t seed) {
 
   Trace t;
   const auto one = [&](std::size_t r) {
-    t.losses.push_back(net.train_sample(x.row(r), {y[r]}));
+    t.losses.push_back(net.train_sample(row_of(x, r), {y[r]}));
   };
   for (std::size_t r = 0; r < 3; ++r) one(r);
   Rng shuffle(seed + 2);
@@ -146,9 +153,11 @@ Trace run_at(simd::Level level, const Case& c, std::size_t seed) {
     t.losses.push_back(net.train_epoch(x, y, shuffle));
   for (std::size_t r = 3; r < 6; ++r) one(r);
   Workspace ws;
-  t.batch = net.forward_batch(probe, ws);
+  t.batch.resize(probe.rows());
+  net.forward_batch(probe, std::span<double>(t.batch), ws);
+
   for (std::size_t r = 0; r < probe.rows(); ++r)
-    t.points.push_back(net.predict(probe.row(r)));
+    t.points.push_back(net.predict(row_of(probe, r)));
   const Json json = net.to_json();
   t.dump = json.dump();
   t.timestep = json.at("timestep").as_int();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 
 #include "common/error.hpp"
 #include "stats/crossval.hpp"
@@ -14,52 +15,52 @@
 namespace ecotune::stats {
 namespace {
 
+/// A matrix from rows of equal length.
+Matrix mat(std::initializer_list<std::initializer_list<double>> rows) {
+  Matrix m(rows.size(), rows.begin()->size());
+  std::size_t r = 0;
+  for (const auto& row : rows) {
+    std::size_t c = 0;
+    for (double v : row) m(r, c++) = v;
+    ++r;
+  }
+  return m;
+}
+
 TEST(Matrix, ConstructionAndAccess) {
-  Matrix m{{1, 2, 3}, {4, 5, 6}};
+  Matrix m(2, 3);
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 3u);
-  EXPECT_DOUBLE_EQ(m(1, 2), 6.0);
+  EXPECT_DOUBLE_EQ(m(1, 2), 0.0);  // zero-initialized
+  m(1, 1) = 5.0;
   m(0, 0) = 9.0;
-  EXPECT_DOUBLE_EQ(m.row(0)[0], 9.0);
+  EXPECT_DOUBLE_EQ(m.row_span(0)[0], 9.0);
+  EXPECT_EQ(m.row_span(1).size(), 3u);
   EXPECT_DOUBLE_EQ(m.col(1)[1], 5.0);
-  EXPECT_THROW((Matrix{{1, 2}, {3}}), PreconditionError);
+  EXPECT_THROW((void)m.row_span(2), PreconditionError);
 }
 
 TEST(Matrix, MultiplyAndTranspose) {
-  const Matrix a{{1, 2}, {3, 4}};
-  const Matrix b{{5, 6}, {7, 8}};
+  const Matrix a = mat({{1, 2}, {3, 4}});
+  const Matrix b = mat({{5, 6}, {7, 8}});
   const Matrix c = a * b;
   EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
   EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
   const Matrix at = a.transpose();
   EXPECT_DOUBLE_EQ(at(0, 1), 3.0);
-  const auto v = a.apply({1.0, 1.0});
-  EXPECT_DOUBLE_EQ(v[0], 3.0);
-  EXPECT_DOUBLE_EQ(v[1], 7.0);
-}
-
-TEST(Matrix, IdentityAndArithmetic) {
-  const Matrix i = Matrix::identity(3);
-  Matrix m(3, 3);
-  m(1, 1) = 2.0;
-  const Matrix sum = i + m;
-  EXPECT_DOUBLE_EQ(sum(1, 1), 3.0);
-  const Matrix diff = sum - i;
-  EXPECT_DOUBLE_EQ(diff(1, 1), 2.0);
-  Matrix s = i;
-  s *= 4.0;
-  EXPECT_DOUBLE_EQ(s(2, 2), 4.0);
 }
 
 TEST(SolveSpd, SolvesWellConditionedSystem) {
-  const Matrix a{{4, 1}, {1, 3}};
+  const Matrix a = mat({{4, 1}, {1, 3}});
+
   const auto x = solve_spd(a, {1.0, 2.0});
   EXPECT_NEAR(4 * x[0] + 1 * x[1], 1.0, 1e-12);
   EXPECT_NEAR(1 * x[0] + 3 * x[1], 2.0, 1e-12);
 }
 
 TEST(SolveSpd, RidgeFallbackHandlesSingularMatrix) {
-  const Matrix a{{1, 1}, {1, 1}};  // rank 1
+  const Matrix a = mat({{1, 1}, {1, 1}});  // rank 1
+
   const auto x = solve_spd(a, {2.0, 2.0});
   // Ridge regularization yields the minimum-norm-ish solution; residual
   // should still be small.
@@ -69,20 +70,9 @@ TEST(SolveSpd, RidgeFallbackHandlesSingularMatrix) {
 TEST(Descriptive, BasicStatistics) {
   const std::vector<double> xs{1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(mean(xs), 3.0);
-  EXPECT_DOUBLE_EQ(variance(xs), 2.5);
-  EXPECT_DOUBLE_EQ(stddev(xs), std::sqrt(2.5));
   EXPECT_DOUBLE_EQ(stddev_population(xs), std::sqrt(2.0));
   EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
-}
-
-TEST(Descriptive, PearsonCorrelation) {
-  const std::vector<double> x{1, 2, 3, 4};
-  const std::vector<double> y{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-  const std::vector<double> z{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(x, z), -1.0, 1e-12);
-  const std::vector<double> c{5, 5, 5, 5};
-  EXPECT_DOUBLE_EQ(pearson(x, c), 0.0);
+  EXPECT_DOUBLE_EQ(stddev_population(std::vector<double>{}), 0.0);
 }
 
 TEST(Ols, RecoversLinearCoefficients) {
@@ -135,7 +125,7 @@ TEST(Vif, DetectsCollinearity) {
   EXPECT_GT(vifs[0], 10.0);
   EXPECT_LT(vifs[1], 2.0);
   EXPECT_GT(vifs[2], 10.0);
-  EXPECT_GT(mean_vif(x), 5.0);
+  EXPECT_GT(mean(vifs), 5.0);
 }
 
 TEST(Vif, IndependentFeaturesHaveLowVif) {
@@ -143,7 +133,7 @@ TEST(Vif, IndependentFeaturesHaveLowVif) {
   Matrix x(200, 4);
   for (std::size_t i = 0; i < 200; ++i)
     for (std::size_t j = 0; j < 4; ++j) x(i, j) = rng.normal(0, 1);
-  EXPECT_LT(mean_vif(x), 1.2);
+  EXPECT_LT(mean(vif_all(x)), 1.2);
 }
 
 TEST(FeatureSelection, PicksInformativeFeaturesAndRespectsVifGuard) {
@@ -207,20 +197,9 @@ TEST(Scaler, StandardizesToZeroMeanUnitVariance) {
   }
 }
 
-TEST(Scaler, RowTransformRoundTrip) {
-  Matrix x{{1, 10}, {3, 20}, {5, 30}};
-  StandardScaler scaler;
-  scaler.fit(x);
-  std::vector<double> row{3.0, 20.0};
-  scaler.transform_row(row);
-  EXPECT_NEAR(row[0], 0.0, 1e-12);
-  scaler.inverse_transform_row(row);
-  EXPECT_NEAR(row[0], 3.0, 1e-12);
-  EXPECT_NEAR(row[1], 20.0, 1e-12);
-}
-
 TEST(Scaler, JsonRoundTrip) {
-  Matrix x{{1, 2}, {3, 4}};
+  const Matrix x = mat({{1, 2}, {3, 4}});
+
   StandardScaler scaler;
   scaler.fit(x);
   const auto restored = StandardScaler::from_json(
@@ -230,13 +209,12 @@ TEST(Scaler, JsonRoundTrip) {
 }
 
 TEST(Scaler, ConstantFeatureDoesNotDivideByZero) {
-  Matrix x{{5, 1}, {5, 2}, {5, 3}};
+  const Matrix x = mat({{5, 1}, {5, 2}, {5, 3}});
   StandardScaler scaler;
   scaler.fit(x);
-  std::vector<double> row{5.0, 2.0};
-  scaler.transform_row(row);
-  EXPECT_DOUBLE_EQ(row[0], 0.0);
-  EXPECT_TRUE(std::isfinite(row[1]));
+  const Matrix t = scaler.transform(mat({{5.0, 2.0}}));
+  EXPECT_DOUBLE_EQ(t(0, 0), 0.0);
+  EXPECT_TRUE(std::isfinite(t(0, 1)));
 }
 
 TEST(CrossVal, KfoldPartitionsAllSamples) {
@@ -274,15 +252,12 @@ TEST(Metrics, ErrorMeasures) {
   const std::vector<double> t{1.0, 2.0, 4.0};
   const std::vector<double> p{1.1, 1.8, 4.0};
   EXPECT_NEAR(mape(t, p), 100.0 * (0.1 + 0.1 + 0.0) / 3.0, 1e-9);
-  EXPECT_NEAR(mse(t, p), (0.01 + 0.04) / 3.0, 1e-12);
-  EXPECT_NEAR(mae(t, p), (0.1 + 0.2) / 3.0, 1e-12);
-  EXPECT_NEAR(r2_score(t, t), 1.0, 1e-12);
-  EXPECT_LT(r2_score(t, p), 1.0);
+  EXPECT_DOUBLE_EQ(mape(t, t), 0.0);
   const std::vector<double> zero{0.0};
   const std::vector<double> one{1.0};
   const std::vector<double> two{1.0, 2.0};
   EXPECT_THROW((void)mape(zero, one), PreconditionError);
-  EXPECT_THROW((void)mse(one, two), PreconditionError);
+  EXPECT_THROW((void)mape(one, two), PreconditionError);
 }
 
 }  // namespace

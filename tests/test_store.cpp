@@ -150,7 +150,8 @@ TEST(MeasurementStore, RoundTripsAndPersistsAcrossSessions) {
   payload["value"] = 0.1 + 0.2;  // not exactly representable as text naively
 
   {
-    store::MeasurementStore s(dir.path(), store::StoreMode::kReadWrite);
+    store::MeasurementStore s;
+    s.open(dir.path(), store::StoreMode::kReadWrite);
     EXPECT_FALSE(s.lookup(key).has_value());
     s.insert(key, payload);
     const auto hit = s.lookup(key);
@@ -161,7 +162,8 @@ TEST(MeasurementStore, RoundTripsAndPersistsAcrossSessions) {
     EXPECT_EQ(s.stats().writes, 1);
   }
   // A second session loads the appended file.
-  store::MeasurementStore warm(dir.path(), store::StoreMode::kReadOnly);
+  store::MeasurementStore warm;
+  warm.open(dir.path(), store::StoreMode::kReadOnly);
   EXPECT_EQ(warm.size(), 1u);
   const auto hit = warm.lookup(key);
   ASSERT_TRUE(hit.has_value());
@@ -170,7 +172,8 @@ TEST(MeasurementStore, RoundTripsAndPersistsAcrossSessions) {
 
 TEST(MeasurementStore, FingerprintMismatchInvalidatesTheStaleEntry) {
   TempDir dir("invalidate");
-  store::MeasurementStore s(dir.path(), store::StoreMode::kReadWrite);
+  store::MeasurementStore s;
+  s.open(dir.path(), store::StoreMode::kReadWrite);
   s.insert({"task/a", 1}, Json(1.0));
   // Same task, different context: must not answer, must drop the entry.
   EXPECT_FALSE(s.lookup({"task/a", 2}).has_value());
@@ -186,13 +189,15 @@ TEST(MeasurementStore, FingerprintMismatchInvalidatesTheStaleEntry) {
 TEST(MeasurementStore, ReadOnlyModeNeverWrites) {
   TempDir dir("readonly");
   {
-    store::MeasurementStore rw(dir.path(), store::StoreMode::kReadWrite);
+    store::MeasurementStore rw;
+    rw.open(dir.path(), store::StoreMode::kReadWrite);
     rw.insert({"task/a", 1}, Json(1.0));
   }
   const auto bytes_before = fs::file_size(dir.file());
   const auto mtime_before = fs::last_write_time(dir.file());
 
-  store::MeasurementStore ro(dir.path(), store::StoreMode::kReadOnly);
+  store::MeasurementStore ro;
+  ro.open(dir.path(), store::StoreMode::kReadOnly);
   ASSERT_TRUE(ro.lookup({"task/a", 1}).has_value());
   ro.insert({"task/b", 2}, Json(2.0));  // dropped
   EXPECT_FALSE(ro.lookup({"task/b", 2}).has_value());
@@ -204,7 +209,8 @@ TEST(MeasurementStore, ReadOnlyModeNeverWrites) {
 TEST(MeasurementStore, ReadOnlyRequiresNothingOnDisk) {
   TempDir dir("ro_empty");
   // ro against a missing directory: valid, everything misses.
-  store::MeasurementStore ro(dir.path(), store::StoreMode::kReadOnly);
+  store::MeasurementStore ro;
+  ro.open(dir.path(), store::StoreMode::kReadOnly);
   EXPECT_FALSE(ro.lookup({"task/a", 1}).has_value());
   EXPECT_FALSE(fs::exists(dir.path()));
 }
@@ -225,7 +231,8 @@ TEST(MeasurementStore, RejectsCorruptEntriesLoudly) {
   TempDir dir("corrupt");
   fs::create_directories(dir.path());
   {
-    store::MeasurementStore rw(dir.path(), store::StoreMode::kReadWrite);
+    store::MeasurementStore rw;
+    rw.open(dir.path(), store::StoreMode::kReadWrite);
     rw.insert({"task/good", 7}, Json(3.5));
   }
   {
@@ -236,7 +243,8 @@ TEST(MeasurementStore, RejectsCorruptEntriesLoudly) {
   }
   std::ostringstream log_sink;
   log::set_sink(&log_sink);
-  store::MeasurementStore warm(dir.path(), store::StoreMode::kReadOnly);
+  store::MeasurementStore warm;
+  warm.open(dir.path(), store::StoreMode::kReadOnly);
   log::set_sink(nullptr);
 
   EXPECT_EQ(warm.stats().rejected, 3);
@@ -334,10 +342,12 @@ TEST(MeasurementStore, ViewSurvivesConcurrentInvalidationAndReplacement) {
     return payload.dump(-1);
   };
   {
-    store::MeasurementStore writer(dir.path(), store::StoreMode::kReadWrite);
+    store::MeasurementStore writer;
+    writer.open(dir.path(), store::StoreMode::kReadWrite);
     writer.insert({"task/loaded", 1}, Json::parse(payload_for(1)));
   }
-  store::MeasurementStore s(dir.path(), store::StoreMode::kReadWrite);
+  store::MeasurementStore s;
+  s.open(dir.path(), store::StoreMode::kReadWrite);
   s.insert({"task/inserted", 1}, Json::parse(payload_for(1)));
   const auto loaded = s.lookup({"task/loaded", 1});
   const auto inserted = s.lookup({"task/inserted", 1});
@@ -396,7 +406,8 @@ TEST(MeasurementStore, TornTailIsRepairedSoOneWarmRerunHasZeroMisses) {
 
   std::string cold;
   {
-    store::MeasurementStore s(dir.path(), store::StoreMode::kReadWrite);
+    store::MeasurementStore s;
+    s.open(dir.path(), store::StoreMode::kReadWrite);
     cold = acquire(s);
     ASSERT_FALSE(cold.empty());
     ASSERT_EQ(s.stats().writes, 2);
@@ -416,7 +427,8 @@ TEST(MeasurementStore, TornTailIsRepairedSoOneWarmRerunHasZeroMisses) {
   {
     std::ostringstream log_sink;
     log::set_sink(&log_sink);
-    store::MeasurementStore ro(dir.path(), store::StoreMode::kReadOnly);
+    store::MeasurementStore ro;
+    ro.open(dir.path(), store::StoreMode::kReadOnly);
     log::set_sink(nullptr);
     EXPECT_EQ(ro.stats().rejected, 1);
     EXPECT_EQ(ro.stats().repaired, 0);
@@ -425,7 +437,8 @@ TEST(MeasurementStore, TornTailIsRepairedSoOneWarmRerunHasZeroMisses) {
   {
     std::ostringstream log_sink;
     log::set_sink(&log_sink);
-    store::MeasurementStore rw(dir.path(), store::StoreMode::kReadWrite);
+    store::MeasurementStore rw;
+    rw.open(dir.path(), store::StoreMode::kReadWrite);
     log::set_sink(nullptr);
     EXPECT_NE(log_sink.str().find("repairing torn tail"), std::string::npos);
     EXPECT_EQ(rw.stats().repaired, 1);
@@ -439,7 +452,8 @@ TEST(MeasurementStore, TornTailIsRepairedSoOneWarmRerunHasZeroMisses) {
     EXPECT_EQ(rw.stats().misses, 1);
     EXPECT_EQ(rw.stats().writes, 1);
   }
-  store::MeasurementStore warm(dir.path(), store::StoreMode::kReadWrite);
+  store::MeasurementStore warm;
+  warm.open(dir.path(), store::StoreMode::kReadWrite);
   EXPECT_EQ(acquire(warm), cold);
   const store::StoreStats stats = warm.stats();
   EXPECT_EQ(stats.misses, 0);
@@ -463,8 +477,8 @@ TEST(WarmRestart, StaticTunerReplaysBitIdentically) {
   opts.cf_stride = 4;
   opts.ucf_stride = 4;
 
-  store::MeasurementStore cold_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore cold_store;
+  cold_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto cold_node = test_node();
   opts.jobs = 1;
   opts.store = &cold_store;
@@ -473,8 +487,8 @@ TEST(WarmRestart, StaticTunerReplaysBitIdentically) {
   EXPECT_EQ(cold_store.stats().hits, 0);
   EXPECT_GT(cold_store.stats().writes, 0);
 
-  store::MeasurementStore warm_store(dir.path(),
-                                     store::StoreMode::kReadOnly);
+  store::MeasurementStore warm_store;
+  warm_store.open(dir.path(), store::StoreMode::kReadOnly);
   auto warm_node = test_node();
   opts.jobs = 4;  // cache entries are jobs-invariant
   opts.store = &warm_store;
@@ -508,8 +522,8 @@ TEST(WarmRestart, UndecodablePayloadFallsBackToSimulation) {
   opts.ucf_stride = 5;
   opts.jobs = 1;
 
-  store::MeasurementStore cold_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore cold_store;
+  cold_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto cold_node = test_node();
   opts.store = &cold_store;
   baseline::StaticTuner cold_tuner(cold_node, opts);
@@ -532,8 +546,8 @@ TEST(WarmRestart, UndecodablePayloadFallsBackToSimulation) {
 
   std::ostringstream log_sink;
   log::set_sink(&log_sink);
-  store::MeasurementStore warm_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore warm_store;
+  warm_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto warm_node = test_node();
   opts.store = &warm_store;
   baseline::StaticTuner warm_tuner(warm_node, opts);
@@ -561,16 +575,16 @@ TEST(WarmRestart, ExhaustiveTunerReplaysBitIdentically) {
   opts.cf_stride = 5;
   opts.ucf_stride = 5;
 
-  store::MeasurementStore cold_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore cold_store;
+  cold_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto cold_node = test_node();
   opts.jobs = 2;
   opts.store = &cold_store;
   baseline::ExhaustiveTuner cold_tuner(cold_node, opts);
   const auto cold = cold_tuner.tune(app);
 
-  store::MeasurementStore warm_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore warm_store;
+  warm_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto warm_node = test_node();
   opts.jobs = 1;
   opts.store = &warm_store;
@@ -603,8 +617,8 @@ TEST(WarmRestart, ExperimentsEngineReplaysBitIdentically) {
   ptf::EngineOptions opts;
   opts.iterations_per_scenario = 2;
 
-  store::MeasurementStore cold_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore cold_store;
+  cold_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto cold_node = test_node();
   opts.jobs = 1;
   opts.store = &cold_store;
@@ -612,8 +626,8 @@ TEST(WarmRestart, ExperimentsEngineReplaysBitIdentically) {
       cold_node, app, instr::InstrumentationFilter::instrument_all(), opts);
   const auto cold = cold_engine.run(scenarios, base);
 
-  store::MeasurementStore warm_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore warm_store;
+  warm_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto warm_node = test_node();
   opts.jobs = 3;
   opts.store = &warm_store;
@@ -658,8 +672,8 @@ TEST(WarmRestart, DataAcquisitionReplaysBitIdentically) {
       workload::BenchmarkSuite::by_name("Lulesh"),
       workload::BenchmarkSuite::by_name("Mcb")};
 
-  store::MeasurementStore cold_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore cold_store;
+  cold_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto cold_node = test_node();
   opts.jobs = 2;
   opts.store = &cold_store;
@@ -667,8 +681,8 @@ TEST(WarmRestart, DataAcquisitionReplaysBitIdentically) {
   const auto cold = cold_acq.acquire(benchmarks);
   EXPECT_EQ(cold_store.stats().writes, 2);  // one entry per benchmark sweep
 
-  store::MeasurementStore warm_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore warm_store;
+  warm_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto warm_node = test_node();
   opts.jobs = 1;
   opts.store = &warm_store;
@@ -709,8 +723,8 @@ TEST(WarmRestart, UndecodableAcquisitionPayloadIsResimulated) {
   const std::vector<workload::Benchmark> benchmarks{
       workload::BenchmarkSuite::by_name("Lulesh")};
 
-  store::MeasurementStore cold_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore cold_store;
+  cold_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto cold_node = test_node();
   opts.store = &cold_store;
   model::DataAcquisition cold_acq(cold_node, opts);
@@ -730,8 +744,8 @@ TEST(WarmRestart, UndecodableAcquisitionPayloadIsResimulated) {
 
   std::ostringstream log_sink;
   log::set_sink(&log_sink);
-  store::MeasurementStore warm_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore warm_store;
+  warm_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto warm_node = test_node();
   opts.store = &warm_store;
   model::DataAcquisition warm_acq(warm_node, opts);
@@ -771,16 +785,16 @@ TEST(WarmRestart, SavingsEvaluatorReplaysRowsBitIdentically) {
   const std::vector<workload::Benchmark> apps{
       workload::BenchmarkSuite::by_name("Lulesh").with_iterations(6)};
 
-  store::MeasurementStore cold_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore cold_store;
+  cold_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto cold_node = test_node();
   opts.jobs = 1;
   opts.store = &cold_store;
   core::SavingsEvaluator cold_eval(cold_node, trained, opts);
   const auto cold = cold_eval.evaluate_all(apps);
 
-  store::MeasurementStore warm_store(dir.path(),
-                                     store::StoreMode::kReadWrite);
+  store::MeasurementStore warm_store;
+  warm_store.open(dir.path(), store::StoreMode::kReadWrite);
   auto warm_node = test_node();
   opts.jobs = 2;
   opts.store = &warm_store;
@@ -879,7 +893,8 @@ TEST(WarmRestart, EveryEntryKindRecomputesAnUndecodablePayload) {
                                          hwsim::NodeSimulator&)>;
   const auto on_store = [](Body body) {
     return [body](const std::string& dir) {
-      store::MeasurementStore store(dir, store::StoreMode::kReadWrite);
+      store::MeasurementStore store;
+      store.open(dir, store::StoreMode::kReadWrite);
       auto node = test_node();
       std::string output = body(store, node);
       output += " now=" + format_double(node.now().value());

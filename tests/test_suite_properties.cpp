@@ -78,18 +78,26 @@ TEST_P(SuiteProperty, EnergySurfaceIsBoundedAndNonDegenerate) {
   // Over a coarse frequency lattice, the normalized energy stays within a
   // plausible band and actually varies (a flat surface would make tuning
   // meaningless, an unbounded one signals a model bug).
-  const auto traits = app_.phase_traits();
+  // Node energy of one phase iteration: every region, calls_per_iteration
+  // times each.
+  const auto phase_energy = [&] {
+    double e = 0.0;
+    for (const auto& r : app_.regions())
+      e += node_.run_kernel(r.traits, 24).node_energy.value() *
+           r.calls_per_iteration;
+    return e;
+  };
   node_.set_all_core_freqs(CoreFreq::mhz(2000));
   node_.set_all_uncore_freqs(UncoreFreq::mhz(1500));
-  const double e_cal = node_.run_kernel(traits, 24).node_energy.value();
+  const double e_cal = phase_energy();
 
   double lo = 1e300, hi = 0.0;
   for (int cf : {1200, 1800, 2500}) {
     node_.set_all_core_freqs(CoreFreq::mhz(cf));
     for (int ucf : {1300, 2100, 3000}) {
       node_.set_all_uncore_freqs(UncoreFreq::mhz(ucf));
-      const double e =
-          node_.run_kernel(traits, 24).node_energy.value() / e_cal;
+      const double e = phase_energy() / e_cal;
+
       lo = std::min(lo, e);
       hi = std::max(hi, e);
       EXPECT_GT(e, 0.4) << cf << '|' << ucf;
