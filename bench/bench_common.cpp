@@ -5,7 +5,6 @@
 
 #include "common/cli.hpp"
 #include "common/parallel.hpp"
-#include "model/features.hpp"
 #include "ptf/objectives.hpp"
 #include "tuners/registry.hpp"
 
@@ -119,55 +118,6 @@ DriverOptions parse_driver_options(int argc, char** argv) {
 DriverOptions parse_driver_options(int argc, char** argv,
                                    TunerSelection& selection) {
   return parse_driver_options_impl(argc, argv, &selection);
-}
-
-void synthetic_training_data(std::size_t samples, stats::Matrix& x,
-                             std::vector<double>& y) {
-  Rng data_rng(0xDA7A);
-  x = stats::Matrix(samples, 9);
-  y.resize(samples);
-  for (std::size_t i = 0; i < samples; ++i) {
-    for (std::size_t j = 0; j < 9; ++j) x(i, j) = data_rng.normal(0.0, 1.0);
-    y[i] = data_rng.uniform(0.5, 1.5);
-  }
-}
-
-model::EnergyModel untrained_ensemble_model(int members) {
-  Json j = Json::object();
-  Json scaler = Json::object();
-  Json mean = Json::array();
-  Json scale = Json::array();
-  for (int k = 0; k < 9; ++k) {
-    mean.push_back(0.0);
-    scale.push_back(1.0);
-  }
-  scaler["mean"] = std::move(mean);
-  scaler["scale"] = std::move(scale);
-  j["scaler"] = std::move(scaler);
-  Json nets = Json::array();
-  for (int m = 0; m < members; ++m) {
-    Rng rng(0x9EED + static_cast<std::uint64_t>(m));
-    nets.push_back(nn::Mlp(nn::MlpConfig{}, rng).to_json());
-  }
-  j["networks"] = std::move(nets);
-  j["epochs"] = 10;
-  return model::EnergyModel::from_json(j);
-}
-
-stats::Matrix synthetic_grid_batch() {
-  const std::size_t grid = 14 * 18;
-  stats::Matrix x(grid, 9);
-  Rng fill(8);
-  for (std::size_t r = 0; r < grid; ++r)
-    for (std::size_t c = 0; c < 9; ++c) x(r, c) = fill.uniform(0.0, 1.0);
-  return x;
-}
-
-std::map<std::string, double> synthetic_counter_rates() {
-  std::map<std::string, double> rates;
-  for (auto e : model::paper_feature_events())
-    rates[std::string(hwsim::pmu_event_name(e))] = 1e8;
-  return rates;
 }
 
 }  // namespace ecotune::bench

@@ -45,26 +45,4 @@ struct TunerSelection {
 [[nodiscard]] DriverOptions parse_driver_options(int argc, char** argv,
                                                  TunerSelection& selection);
 
-/// Synthetic standardized dataset shaped like the acquired training set
-/// (9 N(0,1) features, labels in [0.5, 1.5), fixed seed). Shared by the
-/// perf tools (tools/perf_report, bench/micro_components) so their
-/// train-epoch workloads stay comparable across the BENCH_*.json
-/// trajectory.
-void synthetic_training_data(std::size_t samples, stats::Matrix& x,
-                             std::vector<double>& y);
-
-/// EnergyModel assembled from `members` untrained (He-initialized,
-/// fixed-seed) ensemble members behind an identity scaler. Inference cost
-/// does not depend on the weight values, so the perf tools use this to
-/// benchmark the grid-recommendation path without paying for training.
-[[nodiscard]] model::EnergyModel untrained_ensemble_model(int members);
-
-/// 252-row (14x18 grid) random 9-feature batch, fixed seed — the
-/// forward-batch microbench input of both perf tools.
-[[nodiscard]] stats::Matrix synthetic_grid_batch();
-
-/// Paper-counter rate map (1e8 counts/s each) — the grid-recommend
-/// microbench input of both perf tools.
-[[nodiscard]] std::map<std::string, double> synthetic_counter_rates();
-
 }  // namespace ecotune::bench

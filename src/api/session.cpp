@@ -70,7 +70,7 @@ Session::Session(SessionConfig config)
   store_.open(
       config_.cache_dir(),
       store::resolve_store_mode(config_.cache_mode(), config_.cache_dir()),
-      config_.scope(), config_.store_shards(), jobs_);
+      config_.scope(), jobs_);
 }
 
 model::DataAcquisition Session::training_acquisition() {

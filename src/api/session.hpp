@@ -123,14 +123,6 @@ class SessionConfig {
     qlearn_ = std::move(opts);
     return *this;
   }
-  /// In-memory shard count of the measurement store's index (0 = the
-  /// store's kDefaultShardCount). Purely a concurrency knob: lookup
-  /// results, stats totals, and the on-disk format are identical for every
-  /// value.
-  SessionConfig& store_shards(std::size_t n) {
-    store_shards_ = n;
-    return *this;
-  }
 
   // Read accessors (used by Session; public so shims can introspect).
   [[nodiscard]] std::uint64_t train_seed() const { return train_seed_; }
@@ -159,7 +151,6 @@ class SessionConfig {
   }
   /// The simulated CPU: always the paper's Haswell-EP.
   [[nodiscard]] const hwsim::CpuSpec& spec() const { return spec_; }
-  [[nodiscard]] std::size_t store_shards() const { return store_shards_; }
 
  private:
   std::uint64_t train_seed_ = 42;
@@ -179,7 +170,6 @@ class SessionConfig {
   baseline::StaticTunerOptions static_search_;
   tuners::QLearningOptions qlearn_;
   hwsim::CpuSpec spec_ = hwsim::haswell_ep_spec();
-  std::size_t store_shards_ = 0;
 };
 
 /// One design-time analysis outcome: everything the plugin produced plus

@@ -74,20 +74,6 @@ void Mlp::forward_batch(const stats::Matrix& x, std::span<double> out,
                          /*mean=*/false);
 }
 
-double Mlp::train_sample(std::span<const double> x,
-                         std::span<const double> y) {
-  ensure(x.size() == input_size(), "Mlp::train_sample: input size mismatch");
-  ensure(y.size() == output_size(), "Mlp::train_sample: label size mismatch");
-  ensure(output_size() == 1, "Mlp::train_sample: expects a scalar label");
-  const std::size_t only = 0;
-  return train_order(x.data(), x.size(), y.data(), &only, 1);
-}
-
-double Mlp::train_sample(const std::vector<double>& x,
-                         const std::vector<double>& y) {
-  return train_sample(std::span<const double>(x), std::span<const double>(y));
-}
-
 double Mlp::train_epoch(const stats::Matrix& x, const std::vector<double>& y,
                         Rng& shuffle_rng) {
   ensure(x.rows() == y.size(), "Mlp::train_epoch: sample count mismatch");
@@ -100,9 +86,22 @@ double Mlp::train_epoch(const stats::Matrix& x, const std::vector<double>& y,
         shuffle_rng.uniform_int(0, static_cast<std::int64_t>(i)));
     std::swap(order[i], order[j]);
   }
-  return train_order(x.data().data(), x.cols(), y.data(), order.data(),
-                     order.size()) /
-         static_cast<double>(x.rows());
+  if (!engine_) {
+    engine_ = std::make_unique<TrainEngine>();
+    std::vector<std::uint8_t> relu;
+    relu.reserve(layers_.size());
+    for (const Layer& layer : layers_) relu.push_back(layer.relu ? 1 : 0);
+    engine_->plan = kernels::build_train_plan(
+        config_.layer_sizes, relu, config_.learning_rate, config_.beta1,
+        config_.beta2, config_.epsilon);
+    kernels::init_train_state(engine_->plan, engine_->state);
+  }
+  engine_pack();
+  const double total =
+      kernels::train_epoch(engine_->plan, engine_->state, x.data().data(),
+                           x.cols(), y.data(), order.data(), order.size());
+  engine_unpack();
+  return total / static_cast<double>(x.rows());
 }
 
 void Mlp::engine_pack() {
@@ -163,25 +162,6 @@ void Mlp::engine_unpack() {
   timestep_ = e.state.timestep;
   bc1_saturated_ = e.state.bc1_saturated;
   bc2_saturated_ = e.state.bc2_saturated;
-}
-
-double Mlp::train_order(const double* x, std::size_t stride, const double* y,
-                        const std::size_t* order, std::size_t n) {
-  if (!engine_) {
-    engine_ = std::make_unique<TrainEngine>();
-    std::vector<std::uint8_t> relu;
-    relu.reserve(layers_.size());
-    for (const Layer& layer : layers_) relu.push_back(layer.relu ? 1 : 0);
-    engine_->plan = kernels::build_train_plan(
-        config_.layer_sizes, relu, config_.learning_rate, config_.beta1,
-        config_.beta2, config_.epsilon);
-    kernels::init_train_state(engine_->plan, engine_->state);
-  }
-  engine_pack();
-  const double total = kernels::train_epoch(engine_->plan, engine_->state, x,
-                                            stride, y, order, n);
-  engine_unpack();
-  return total;
 }
 
 void Mlp::forward_rows(std::span<const Mlp> nets, const double* x,

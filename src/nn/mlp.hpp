@@ -64,8 +64,8 @@ class Workspace {
 /// training packs the network into the engine's blocked state, runs the
 /// samples in order, and unpacks; inference runs lane groups of four rows
 /// through a caller-supplied (or thread-local) Workspace. predict() is a
-/// one-row group and train_sample() a one-sample order, so every path
-/// produces the same bits as its batched form, at every dispatch level.
+/// one-row group, so every path produces the same bits as its batched form,
+/// at every dispatch level.
 class Mlp {
  public:
   /// Initializes weights ~ N(0,1) * sqrt(2/n_in) (He et al.), biases zero.
@@ -100,13 +100,6 @@ class Mlp {
   /// x.rows()). Bitwise identical to predict() on each row.
   void forward_batch(const stats::Matrix& x, std::span<double> out,
                      Workspace& ws) const;
-
-  /// One forward/backward pass and ADAM update on a single sample of a
-  /// scalar-output network; returns the sample's squared-error loss before
-  /// the update. Identical to a train_epoch visiting just this sample.
-  double train_sample(const std::vector<double>& x,
-                      const std::vector<double>& y);
-  double train_sample(std::span<const double> x, std::span<const double> y);
 
   /// One epoch of per-sample SGD over (x, y) in shuffled order; returns the
   /// mean loss. Allocation-free after the first call: the engine's packed
@@ -144,11 +137,6 @@ class Mlp {
   };
 
   explicit Mlp(MlpConfig config);  // uninitialized (for from_json)
-  /// Packs layers_ into the engine's blocked state, trains the `n` samples
-  /// of the row-major `x` (row stride `stride`) in `order`, and unpacks;
-  /// returns the summed loss.
-  double train_order(const double* x, std::size_t stride, const double* y,
-                     const std::size_t* order, std::size_t n);
   void engine_pack();
   void engine_unpack();
   /// Engine forward of the ensemble `nets` over `n` row-major samples `x`

@@ -43,7 +43,6 @@ Json store_stats_json(store::MeasurementStore& store) {
   j["rejected"] = static_cast<std::int64_t>(s.rejected);
   j["writes"] = static_cast<std::int64_t>(s.writes);
   j["entries"] = store.size();
-  j["shards"] = store.shard_count();
   j["mode"] = std::string(store::to_string(store.mode()));
   return j;
 }

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <sstream>
 #include <system_error>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -105,7 +106,7 @@ StoreMode resolve_store_mode(const std::string& mode_text,
 }
 
 void MeasurementStore::open(const std::string& cache_dir, StoreMode mode,
-                            std::string scope, std::size_t shards, int jobs) {
+                            std::string scope, int jobs) {
   // open() runs before any concurrent use (drivers open during CLI setup),
   // so the one-time setup below needs no locking; load_file still routes
   // entries through the shard locks to keep the analysis contract uniform.
@@ -115,11 +116,6 @@ void MeasurementStore::open(const std::string& cache_dir, StoreMode mode,
   ensure(!cache_dir.empty(),
          "MeasurementStore::open: cache directory required for mode '" +
              std::string(to_string(mode)) + "'");
-
-  if (shards == 0) shards = kDefaultShardCount;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
 
   namespace fs = std::filesystem;
   if (mode == StoreMode::kReadWrite) {
@@ -228,8 +224,7 @@ std::string MeasurementStore::scoped(const std::string& task) const {
 
 MeasurementStore::Shard& MeasurementStore::shard_of(
     const std::string& task) const {
-  ECOTUNE_DCHECK(!shards_.empty(), "MeasurementStore: no shards (not open)");
-  return *shards_[fnv1a(task) % shards_.size()];
+  return shards_[fnv1a(task) % kShardCount];
 }
 
 std::optional<std::string_view> MeasurementStore::lookup(
@@ -317,10 +312,10 @@ StoreStats MeasurementStore::stats() const {
   // single-mutex index would report. Summing in shard order keeps the
   // analysis happy -- no dynamic all-shards lock set.
   for (const auto& shard : shards_) {
-    const MutexLock lock(shard->mutex_);
-    total.hits += shard->hits_;
-    total.misses += shard->misses_;
-    total.invalidated += shard->invalidated_;
+    const MutexLock lock(shard.mutex_);
+    total.hits += shard.hits_;
+    total.misses += shard.misses_;
+    total.invalidated += shard.invalidated_;
   }
   const MutexLock lock(append_mutex_);
   total.rejected = rejected_;
@@ -332,8 +327,8 @@ StoreStats MeasurementStore::stats() const {
 std::size_t MeasurementStore::size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    const MutexLock lock(shard->mutex_);
-    total += shard->entries_.size();
+    const MutexLock lock(shard.mutex_);
+    total += shard.entries_.size();
   }
   return total;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <fstream>
@@ -8,7 +9,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/json.hpp"
 #include "common/mutex.hpp"
@@ -80,7 +80,7 @@ struct StoreStats {
 /// while other threads invalidate or replace its task. The memory held is
 /// therefore the file's size, superseded lines included.
 ///
-/// Thread safety: the in-memory index is split into `shard_count()`
+/// Thread safety: the in-memory index is split into kShardCount (16)
 /// fingerprint-hashed shards (FNV-1a over the scoped task key), each an
 /// independently `ecotune::Mutex`-guarded map, so concurrent lookups of
 /// different tasks proceed without serializing on one global lock. The disk
@@ -89,17 +89,13 @@ struct StoreStats {
 /// trivially acyclic. The discipline is compiler-proved: every guarded
 /// member carries ECOTUNE_GUARDED_BY and the _locked helpers carry
 /// ECOTUNE_REQUIRES, so a Clang `-Wthread-safety` build rejects any access
-/// outside the lock. mode_/dir_/scope_/file_path_/file_/shards_ are written
+/// outside the lock. mode_/dir_/scope_/file_path_/file_ are written
 /// exactly once by open() (before any concurrent use -- drivers open the
 /// store during CLI setup) and are read-only afterwards, which is why the
-/// cheap accessors below take no lock. Shard count never changes results:
-/// it only partitions the task-key space, and warm-restart identity is over
-/// the union of the shards.
+/// cheap accessors below take no lock. The shards only partition the
+/// task-key space: warm-restart identity is over their union.
 class MeasurementStore {
  public:
-  /// Shard count used when open() is passed shards == 0.
-  static constexpr std::size_t kDefaultShardCount = 16;
-
   /// Constructs a disabled (kOff) store; open() activates it.
   MeasurementStore() = default;
 
@@ -121,18 +117,15 @@ class MeasurementStore {
   /// colliding on identical task ids (which would ping-pong-invalidate each
   /// other's entries, since their contexts fingerprint differently).
   ///
-  /// `shards` picks the in-memory index shard count (0 means
-  /// kDefaultShardCount). `jobs` lines are validated concurrently (<= 0
-  /// means the hardware concurrency); they are indexed in file order
-  /// afterwards. Both are pure concurrency knobs: lookup results, stats
-  /// totals, log lines and the on-disk format are identical for every
-  /// value.
+  /// `jobs` lines are validated concurrently (<= 0 means the hardware
+  /// concurrency); they are indexed in file order afterwards. It is a pure
+  /// concurrency knob: lookup results, stats totals, log lines and the
+  /// on-disk format are identical for every value.
   void open(const std::string& cache_dir, StoreMode mode,
-            std::string scope = {}, std::size_t shards = 0, int jobs = 1);
+            std::string scope = {}, int jobs = 1);
 
   [[nodiscard]] bool enabled() const { return mode_ != StoreMode::kOff; }
   [[nodiscard]] StoreMode mode() const { return mode_; }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   /// Returns the compact JSON bytes recorded for `key`, or nullopt on miss.
   /// The view is valid until the store is destroyed (see the class
@@ -168,8 +161,11 @@ class MeasurementStore {
 
   /// One fingerprint-hashed slice of the index. Shards never share state:
   /// a task key maps to exactly one shard (shard_of), so per-shard counters
-  /// sum to the same totals a single-mutex index would report.
-  struct Shard {
+  /// sum to the same totals a single-mutex index would report. Each
+  /// shard starts a cache line, so one shard's lock and counters never
+  /// share a line with its neighbours' or with the fields every lookup
+  /// reads.
+  struct alignas(64) Shard {
     /// Lock-held workhorses behind the public lookup/insert; the REQUIRES
     /// contract is what the Clang lane's negative check targets.
     [[nodiscard]] std::optional<std::string_view> lookup_locked(
@@ -186,6 +182,8 @@ class MeasurementStore {
     long invalidated_ ECOTUNE_GUARDED_BY(mutex_) = 0;
   };
 
+  static constexpr std::size_t kShardCount = 16;
+
   [[nodiscard]] Shard& shard_of(const std::string& task) const;
   void load_file(StoreMode mode, int jobs);
   [[nodiscard]] std::string scoped(const std::string& task) const;
@@ -196,8 +194,8 @@ class MeasurementStore {
   std::string file_path_;
   /// measurements.jsonl as read by open(); loaded entries point into it.
   std::unique_ptr<char[]> file_;
-  /// Fixed after open(); unique_ptr because Mutex is immovable.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// mutable: shard_of hands a const store's shard out for locking.
+  mutable std::array<Shard, kShardCount> shards_;
 
   /// Serializes the append-only disk stream; never held together with a
   /// shard lock (insert releases the shard before appending).

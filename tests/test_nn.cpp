@@ -10,6 +10,14 @@
 namespace ecotune::nn {
 namespace {
 
+/// One ADAM step on one sample: a one-row epoch, which draws no shuffle.
+double train_one(Mlp& net, const std::vector<double>& x, double y) {
+  stats::Matrix row(1, x.size());
+  for (std::size_t j = 0; j < x.size(); ++j) row(0, j) = x[j];
+  Rng no_draws(0);
+  return net.train_epoch(row, {y}, no_draws);
+}
+
 /// Row `r` of `m` as a vector copy (the predict(std::vector) input).
 std::vector<double> row_of(const stats::Matrix& m, std::size_t r) {
   const auto cols = static_cast<std::ptrdiff_t>(m.cols());
@@ -81,7 +89,7 @@ TEST(Mlp, ValidatesInputSizes) {
   Rng rng(5);
   Mlp net(MlpConfig{}, rng);
   EXPECT_THROW((void)net.predict({1.0, 2.0}), PreconditionError);
-  EXPECT_THROW(net.train_sample({1.0}, {1.0}), PreconditionError);
+  EXPECT_THROW(train_one(net, {1.0}, 1.0), PreconditionError);
 }
 
 TEST(Mlp, LearnsLinearFunction) {
@@ -144,10 +152,9 @@ TEST(Mlp, TrainSampleReturnsDecreasingLossOnRepeat) {
   Rng rng(11);
   Mlp net(cfg, rng);
   const std::vector<double> x{0.3, 0.6};
-  const std::vector<double> y{1.5};
-  const double l0 = net.train_sample(x, y);
+  const double l0 = train_one(net, x, 1.5);
   double l = l0;
-  for (int i = 0; i < 300; ++i) l = net.train_sample(x, y);
+  for (int i = 0; i < 300; ++i) l = train_one(net, x, 1.5);
   EXPECT_LT(l, l0 * 0.01);
 }
 
@@ -335,7 +342,7 @@ TEST(Mlp, LoadsLegacyJsonWithoutOptimizerState) {
     EXPECT_EQ(restored.predict(p), net.predict(p));
   }
   // And it still trains (cold optimizer, but functional).
-  EXPECT_GE(restored.train_sample(std::vector<double>(9, 0.2), {1.0}), 0.0);
+  EXPECT_GE(train_one(restored, std::vector<double>(9, 0.2), 1.0), 0.0);
 }
 
 TEST(Mlp, WorkspaceRebindsAcrossNetworkShapes) {

@@ -2,8 +2,8 @@
 // request validation, response shapes), the concurrent TuningService
 // dispatch (byte-identity to serial execution under >= 64 in-flight
 // requests), the AF_UNIX Server (backpressure, queue timeouts, malformed
-// frames, graceful drain), and the sharded MeasurementStore's equivalence
-// contract (shard count never changes results or warm-restart identity).
+// frames, graceful drain), and the sharded MeasurementStore under
+// concurrent inserts, lookups and stats polling.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -359,10 +359,8 @@ TEST(ServeService, StatsSnapshotTracksTenantsAndTiming) {
   EXPECT_TRUE(result.at("aggregate").at("service_time").contains("p99_ms"));
   EXPECT_TRUE(result.at("tenants").contains("alice"));
   EXPECT_TRUE(result.contains("queue_depth"));
-  // This fixture runs storeless: the store section reports mode=off with
-  // zero shards (open() is what creates the sharded index).
+  // This fixture runs storeless: the store section reports mode=off.
   EXPECT_EQ(result.at("store").at("mode").as_string(), "off");
-  EXPECT_EQ(result.at("store").at("shards").as_number(), 0.0);
 }
 
 TEST(ServeStats, ConcurrentRecordAndSnapshotStayConsistent) {
@@ -685,48 +683,7 @@ Json payload_for(int i) {
   return payload;
 }
 
-TEST(ServeShardedStore, ShardCountNeverChangesLookupResults) {
-  TempDir dir("shards_equiv");
-  constexpr int kEntries = 64;
-  {
-    store::MeasurementStore writer;
-    writer.open(dir.path(), store::StoreMode::kReadWrite, {}, 4);
-    EXPECT_EQ(writer.shard_count(), 4u);
-    for (int i = 0; i < kEntries; ++i) {
-      writer.insert({"task-" + std::to_string(i),
-                     static_cast<std::uint64_t>(1000 + i)},
-                    payload_for(i));
-    }
-    EXPECT_EQ(writer.size(), static_cast<std::size_t>(kEntries));
-  }
-  // Reload the same file under different shard counts: identical answers,
-  // identical counter totals, for every key.
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
-    store::MeasurementStore reader;
-    reader.open(dir.path(), store::StoreMode::kReadOnly, {}, shards);
-    EXPECT_EQ(reader.shard_count(), shards);
-    EXPECT_EQ(reader.size(), static_cast<std::size_t>(kEntries));
-    for (int i = 0; i < kEntries; ++i) {
-      const auto hit = reader.lookup({"task-" + std::to_string(i),
-                                      static_cast<std::uint64_t>(1000 + i)});
-      ASSERT_TRUE(hit.has_value()) << "shards=" << shards << " i=" << i;
-      EXPECT_EQ(*hit, payload_for(i).dump(-1));
-    }
-    const auto miss = reader.lookup({"task-0", 999});  // stale fingerprint
-    EXPECT_FALSE(miss.has_value());
-    const store::StoreStats stats = reader.stats();
-    EXPECT_EQ(stats.hits, kEntries);
-    EXPECT_EQ(stats.misses, 1);
-    EXPECT_EQ(stats.invalidated, 1);
-  }
-}
-
 TEST(ServeShardedStore, DefaultShardCountAndOffModeBehavior) {
-  TempDir dir("shards_default");
-  store::MeasurementStore store;
-  store.open(dir.path(), store::StoreMode::kReadWrite);
-  EXPECT_EQ(store.shard_count(), store::MeasurementStore::kDefaultShardCount);
-
   store::MeasurementStore off;  // never opened: lookups miss quietly
   EXPECT_FALSE(off.lookup({"task", 1}).has_value());
   EXPECT_EQ(off.stats().hits, 0);
@@ -735,7 +692,7 @@ TEST(ServeShardedStore, DefaultShardCountAndOffModeBehavior) {
 TEST(ServeShardedStore, ConcurrentInsertAndLookupKeepCountersExact) {
   TempDir dir("shards_stress");
   store::MeasurementStore store;
-  store.open(dir.path(), store::StoreMode::kReadWrite, {}, 8);
+  store.open(dir.path(), store::StoreMode::kReadWrite);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
   std::vector<std::thread> threads;
@@ -769,10 +726,10 @@ TEST(ServeShardedStore, ConcurrentInsertAndLookupKeepCountersExact) {
   EXPECT_EQ(s.writes, static_cast<long>(kThreads) * kPerThread);
   EXPECT_EQ(store.size(), static_cast<std::size_t>(kThreads) * kPerThread);
 
-  // Warm-restart identity across a different shard count: everything the
-  // concurrent run wrote reloads and hits.
+  // Warm-restart identity: everything the concurrent run wrote reloads and
+  // hits.
   store::MeasurementStore reloaded;
-  reloaded.open(dir.path(), store::StoreMode::kReadOnly, {}, 16);
+  reloaded.open(dir.path(), store::StoreMode::kReadOnly);
   EXPECT_EQ(reloaded.size(), static_cast<std::size_t>(kThreads) * kPerThread);
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {

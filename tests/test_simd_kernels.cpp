@@ -112,7 +112,7 @@ std::string describe(const Case& c) {
 
 /// Everything a caller can observe of one training run.
 struct Trace {
-  std::vector<double> losses;  ///< train_sample and train_epoch, call order
+  std::vector<double> losses;  ///< one-row and full epochs, call order
   std::vector<double> batch;   ///< forward_batch over the probe rows
   std::vector<double> points;  ///< predict() per probe row
   std::string dump;            ///< to_json(): weights, ADAM moments, timestep
@@ -144,8 +144,12 @@ Trace run_at(simd::Level level, const Case& c, std::size_t seed) {
       probe(r, j) = data.normal(0.0, 2.0);
 
   Trace t;
+  // A one-row epoch is a single sample's step; it draws no shuffle.
   const auto one = [&](std::size_t r) {
-    t.losses.push_back(net.train_sample(row_of(x, r), {y[r]}));
+    stats::Matrix row(1, x.cols());
+    for (std::size_t j = 0; j < x.cols(); ++j) row(0, j) = x(r, j);
+    Rng no_draws(0);
+    t.losses.push_back(net.train_epoch(row, {y[r]}, no_draws));
   };
   for (std::size_t r = 0; r < 3; ++r) one(r);
   Rng shuffle(seed + 2);

@@ -7,7 +7,6 @@
 //                 [--queue-limit N] [--timeout-ms N] [--debug-methods]
 //                 [--seed 42] [--epochs 10] [--objective energy]
 //                 [--jobs N] [--cache-dir DIR] [--cache-mode rw|ro|off]
-//                 [--store-shards N]
 //
 // Prints one "ready on <socket>" line to stdout once the socket accepts
 // connections (smoke tests and scripts wait for it), then blocks until
@@ -40,7 +39,6 @@ struct CliOptions {
   int jobs = 0;  // training-phase concurrency (requests always run jobs=1)
   std::string cache_dir;
   std::string cache_mode;  // empty = rw when --cache-dir given, else off
-  int store_shards = 0;    // 0 = store default
   bool help = false;
 };
 
@@ -75,9 +73,6 @@ void print_usage() {
       "                       requests from the store, byte-identical\n"
       "  --cache-mode <m>     rw|ro|off (default: rw with --cache-dir,\n"
       "                       off otherwise)\n"
-      "  --store-shards <n>   in-memory store index shards (default "
-      + std::to_string(store::MeasurementStore::kDefaultShardCount) +
-      ";\n                       shard count never changes results)\n"
       "  --help               this text\n";
 }
 
@@ -139,11 +134,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       const char* v = next("--cache-mode");
       if (!v) return false;
       opts.cache_mode = v;
-    } else if (arg == "--store-shards") {
-      const char* v = next("--store-shards");
-      if (!v ||
-          !cli::parse_strict_int("--store-shards", v, 1, opts.store_shards))
-        return false;
     } else if (arg == "--help" || arg == "-h") {
       opts.help = true;
     } else {
@@ -178,9 +168,7 @@ int main(int argc, char** argv) {
                        .jobs(opts.jobs)
                        .cache(opts.cache_dir, opts.cache_mode)
                        .objective(opts.objective)
-                       .epochs(opts.epochs)
-                       .store_shards(static_cast<std::size_t>(
-                           opts.store_shards));
+                       .epochs(opts.epochs);
   config.workers = opts.workers;
   config.queue_limit = static_cast<std::size_t>(opts.queue_limit);
   config.default_timeout_ms = static_cast<double>(opts.timeout_ms);

@@ -1,9 +1,14 @@
-// Machine-readable performance report of the model/NN hot path: the
-// components every table/figure driver funnels through (MLP training,
-// scalar vs batched inference, the full-grid frequency recommendation),
-// plus the measurement store's hit-path lookups and its open/parse time.
-// Emits JSON so the perf trajectory can be tracked across PRs
-// (BENCH_*.json at the repo root).
+// Machine-readable performance report of the components every
+// table/figure driver funnels through: the model/NN hot path (MLP
+// training, scalar vs batched inference, the full-grid frequency
+// recommendation), the measurement store's hit-path lookups and its
+// open/parse time, and the simulation and instrumentation substrate behind
+// data acquisition and DTA (execution-time and counter models, one node
+// kernel run, a traced application run, trace post-processing, and an RRL
+// production run). Emits JSON so the perf trajectory can be tracked across
+// PRs (BENCH_*.json at the repo root). It is the repo's one micro-timing
+// tool; `ECOTUNE_SIMD=off perf_report` gives the plain-C++ side of every
+// SIMD-dispatched case.
 //
 //   perf_report [--out FILE] [--repeats N] [--quick]
 //               [--extra key=value]...
@@ -13,8 +18,11 @@
 // Workloads mirror the reproduction pipeline: the training benchmark runs
 // at fig5 scale (19152 x 9 standardized samples, 10 consecutive epochs on
 // one network, running ADAM timestep), inference sweeps the 14 x 18
-// Haswell-EP frequency grid. Each metric reports the minimum over
-// --repeats runs (the standard robust microbenchmark estimator).
+// Haswell-EP frequency grid, and the substrate cases run Lulesh (its first
+// region at 24 threads and 2400/1700 MHz; 2, 10 and 5 iterations for the
+// traced run, the post-processed trace and the RRL run, jitter 0). Each
+// metric reports the minimum over --repeats runs (the standard robust
+// microbenchmark estimator).
 //
 // --compare and --trajectory render previously written reports instead of
 // benchmarking: compare prints an old-vs-new speedup table (all metrics
@@ -37,17 +45,23 @@
 #include <system_error>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "common/json.hpp"
 #include "common/numbers.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "hwsim/cpu_spec.hpp"
+#include "hwsim/node.hpp"
+#include "instr/scorep_runtime.hpp"
 #include "model/energy_model.hpp"
 #include "model/features.hpp"
 #include "nn/mlp.hpp"
+#include "pmc/counter_sampler.hpp"
+#include "readex/rrl.hpp"
 #include "stats/linalg.hpp"
 #include "store/measurement_store.hpp"
+#include "trace/post_processor.hpp"
+#include "trace/trace_listener.hpp"
+#include "workload/suite.hpp"
 
 using namespace ecotune;
 using Clock = std::chrono::steady_clock;
@@ -255,12 +269,72 @@ double min_of(int repeats, double (*fn)(const Options&), const Options& o) {
   return best;
 }
 
+// --- synthetic model/NN inputs -----------------------------------------
+//
+// Fixed-seed stand-ins shaped like the acquired data, so the metrics stay
+// comparable across the BENCH_*.json trajectory.
+
+/// Standardized training set: 9 N(0,1) features, labels in [0.5, 1.5).
+void synthetic_training_data(std::size_t samples, stats::Matrix& x,
+                             std::vector<double>& y) {
+  Rng data_rng(0xDA7A);
+  x = stats::Matrix(samples, 9);
+  y.resize(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    for (std::size_t j = 0; j < 9; ++j) x(i, j) = data_rng.normal(0.0, 1.0);
+    y[i] = data_rng.uniform(0.5, 1.5);
+  }
+}
+
+/// EnergyModel of `members` untrained (He-initialized) ensemble members
+/// behind an identity scaler. Inference cost does not depend on the weight
+/// values, so the grid cases need no training.
+model::EnergyModel untrained_ensemble_model(int members) {
+  Json j = Json::object();
+  Json scaler = Json::object();
+  Json mean = Json::array();
+  Json scale = Json::array();
+  for (int k = 0; k < 9; ++k) {
+    mean.push_back(0.0);
+    scale.push_back(1.0);
+  }
+  scaler["mean"] = std::move(mean);
+  scaler["scale"] = std::move(scale);
+  j["scaler"] = std::move(scaler);
+  Json nets = Json::array();
+  for (int m = 0; m < members; ++m) {
+    Rng rng(0x9EED + static_cast<std::uint64_t>(m));
+    nets.push_back(nn::Mlp(nn::MlpConfig{}, rng).to_json());
+  }
+  j["networks"] = std::move(nets);
+  j["epochs"] = 10;
+  return model::EnergyModel::from_json(j);
+}
+
+/// 252-row (14x18 grid) random 9-feature batch.
+stats::Matrix synthetic_grid_batch() {
+  const std::size_t grid = 14 * 18;
+  stats::Matrix x(grid, 9);
+  Rng fill(8);
+  for (std::size_t r = 0; r < grid; ++r)
+    for (std::size_t c = 0; c < 9; ++c) x(r, c) = fill.uniform(0.0, 1.0);
+  return x;
+}
+
+/// Paper-counter rate map, 1e8 counts/s each.
+std::map<std::string, double> synthetic_counter_rates() {
+  std::map<std::string, double> rates;
+  for (auto e : model::paper_feature_events())
+    rates[std::string(hwsim::pmu_event_name(e))] = 1e8;
+  return rates;
+}
+
 double bench_train_epoch(const Options& o) {
   const std::size_t n = o.quick ? 2048 : 19152;
   const int epochs = o.quick ? 3 : 10;
   stats::Matrix x;
   std::vector<double> y;
-  bench::synthetic_training_data(n, x, y);
+  synthetic_training_data(n, x, y);
   Rng rng(42);
   nn::Mlp net(nn::MlpConfig{}, rng);
   Rng shuffle(43);
@@ -289,7 +363,7 @@ double bench_forward_batch(const Options& o) {
   const int iters = o.quick ? 1000 : 10000;
   Rng rng(7);
   const nn::Mlp net(nn::MlpConfig{}, rng);
-  const stats::Matrix x = bench::synthetic_grid_batch();
+  const stats::Matrix x = synthetic_grid_batch();
   const std::size_t grid = x.rows();
   nn::Workspace ws;
   std::vector<double> out(grid);
@@ -307,9 +381,9 @@ double bench_forward_batch(const Options& o) {
 
 double bench_grid_recommend(const Options& o) {
   const int iters = o.quick ? 200 : 2000;
-  const model::EnergyModel m = bench::untrained_ensemble_model(5);
+  const model::EnergyModel m = untrained_ensemble_model(5);
   const hwsim::CpuSpec spec = hwsim::haswell_ep_spec();
-  const std::map<std::string, double> rates = bench::synthetic_counter_rates();
+  const std::map<std::string, double> rates = synthetic_counter_rates();
   double acc = 0.0;
   const auto t0 = Clock::now();
   for (int i = 0; i < iters; ++i) {
@@ -322,7 +396,7 @@ double bench_grid_recommend(const Options& o) {
 
 double bench_model_predict(const Options& o) {
   const int iters = o.quick ? 50000 : 500000;
-  const model::EnergyModel m = bench::untrained_ensemble_model(5);
+  const model::EnergyModel m = untrained_ensemble_model(5);
   std::vector<double> f(9, 0.5);
   double acc = 0.0;
   const auto t0 = Clock::now();
@@ -335,13 +409,11 @@ double bench_model_predict(const Options& o) {
   return ns;
 }
 
-// --- measurement-store contention (PR 10, bench/store_contention) -------
+// --- measurement-store contention --------------------------------------
 //
-// Concurrent hit-path lookups against the sharded in-memory index versus
-// the same index forced onto one shard (the pre-sharding single-mutex
-// design). This is the load the tuning service's worker pool puts on the
-// shared store. The standalone bench/store_contention driver prints the
-// full table; the six cells tracked here pin the trajectory.
+// Concurrent hit-path lookups against the 16-shard in-memory index: the
+// load the tuning service's worker pool puts on the shared store. The
+// metric names keep their "shard16" so the trajectory stays continuous.
 
 std::vector<store::MeasurementKey> store_bench_keys(std::size_t count) {
   std::vector<store::MeasurementKey> keys;
@@ -379,16 +451,14 @@ const std::string& store_bench_dir(const Options& o) {
   return dir;
 }
 
-double bench_store_lookup(const Options& o, std::size_t shards,
-                          int threads) {
+double bench_store_lookup(const Options& o, int threads) {
   const auto keys = store_bench_keys(o.quick ? 256 : 2048);
   const std::size_t rounds = o.quick ? 8 : 64;
   // ro mode keeps the disk appender (and its mutex) idle: the cell
   // measures pure index contention on the hit path, which never misses
   // and never writes.
   store::MeasurementStore store;
-  store.open(store_bench_dir(o), store::StoreMode::kReadOnly, "bench",
-             shards);
+  store.open(store_bench_dir(o), store::StoreMode::kReadOnly, "bench");
   ThreadPool pool(threads);
   const std::size_t n = keys.size();
   const auto t0 = Clock::now();
@@ -408,12 +478,9 @@ double bench_store_lookup(const Options& o, std::size_t shards,
   return seconds_since(t0) / ops * 1e9;
 }
 
-double bench_store_s1_t1(const Options& o) { return bench_store_lookup(o, 1, 1); }
-double bench_store_s1_t4(const Options& o) { return bench_store_lookup(o, 1, 4); }
-double bench_store_s1_t16(const Options& o) { return bench_store_lookup(o, 1, 16); }
-double bench_store_s16_t1(const Options& o) { return bench_store_lookup(o, 16, 1); }
-double bench_store_s16_t4(const Options& o) { return bench_store_lookup(o, 16, 4); }
-double bench_store_s16_t16(const Options& o) { return bench_store_lookup(o, 16, 16); }
+double bench_store_t1(const Options& o) { return bench_store_lookup(o, 1); }
+double bench_store_t4(const Options& o) { return bench_store_lookup(o, 4); }
+double bench_store_t16(const Options& o) { return bench_store_lookup(o, 16); }
 
 // --- measurement-store open --------------------------------------------
 //
@@ -476,7 +543,7 @@ double bench_store_open(const Options& o) {
       1e6;
   const auto t0 = Clock::now();
   store::MeasurementStore store;
-  store.open(dir, store::StoreMode::kReadOnly, "bench", 0, resolve_jobs(0));
+  store.open(dir, store::StoreMode::kReadOnly, "bench", resolve_jobs(0));
   const double ms = seconds_since(t0) * 1e3;
   if (store.size() != (o.quick ? 4u : 14u)) {
     std::cerr << "error: synthetic store reopened with " << store.size()
@@ -484,6 +551,148 @@ double bench_store_open(const Options& o) {
     std::exit(1);
   }
   return ms / mb;
+}
+
+// --- simulation and instrumentation substrate --------------------------
+//
+// The hwsim and instr costs behind every acquisition sweep and DTA step:
+// one region through the execution-time and counter models, one node
+// kernel run, a fully traced application run, trace post-processing, and
+// an RRL production run.
+
+const workload::Benchmark& lulesh() {
+  return workload::BenchmarkSuite::by_name("Lulesh");
+}
+
+/// Lulesh's first region, at 24 threads and 2400/1700 MHz.
+const hwsim::KernelTraits& bench_kernel() {
+  return lulesh().regions()[0].traits;
+}
+constexpr int kBenchThreads = 24;
+constexpr CoreFreq kBenchCore = CoreFreq::mhz(2400);
+constexpr UncoreFreq kBenchUncore = UncoreFreq::mhz(1700);
+
+double bench_perf_model(const Options& o) {
+  const int iters = o.quick ? 100000 : 1000000;
+  const hwsim::PerfModel model;
+  const hwsim::KernelTraits& k = bench_kernel();
+  double acc = 0.0;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < iters; ++i)
+    acc += model.evaluate(k, kBenchThreads, kBenchCore, kBenchUncore)
+               .time.value();
+  const double ns = seconds_since(t0) / iters * 1e9;
+  if (acc == 0.12345) std::cerr << "";
+  return ns;
+}
+
+double bench_counter_model(const Options& o) {
+  const int iters = o.quick ? 100000 : 1000000;
+  const hwsim::CpuSpec spec = hwsim::haswell_ep_spec();
+  const hwsim::KernelTraits& k = bench_kernel();
+  const hwsim::PerfResult perf = hwsim::PerfModel{}.evaluate(
+      k, kBenchThreads, kBenchCore, kBenchUncore);
+  double acc = 0.0;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < iters; ++i)
+    acc += hwsim::CounterModel::evaluate(spec, k, kBenchThreads, kBenchCore,
+                                         kBenchUncore, perf)[0];
+  const double ns = seconds_since(t0) / iters * 1e9;
+  if (acc == 0.12345) std::cerr << "";
+  return ns;
+}
+
+double bench_node_run_kernel(const Options& o) {
+  const int iters = o.quick ? 20000 : 200000;
+  hwsim::NodeSimulator node(hwsim::haswell_ep_spec(), 0, Rng(1));
+  const hwsim::KernelTraits& k = bench_kernel();
+  double acc = 0.0;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < iters; ++i)
+    acc += node.run_kernel(k, kBenchThreads).time.value();
+  const double ns = seconds_since(t0) / iters * 1e9;
+  if (acc == 0.12345) std::cerr << "";
+  return ns;
+}
+
+/// A node with no run-to-run jitter.
+hwsim::NodeSimulator quiet_node(std::uint64_t seed) {
+  hwsim::NodeSimulator node(hwsim::haswell_ep_spec(), 0, Rng(seed));
+  node.set_jitter(0.0);
+  return node;
+}
+
+double bench_traced_run(const Options& o) {
+  const int iters = o.quick ? 200 : 2000;
+  hwsim::NodeSimulator node = quiet_node(5);
+  const workload::Benchmark app = lulesh().with_iterations(2);
+  std::size_t records = 0;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < iters; ++i) {
+    trace::Otf2Archive archive;
+    trace::TraceListener listener(archive, pmc::EventSet{},
+                                  pmc::CounterSampler(Rng(6), 0.0));
+    instr::ExecutionContext ctx(node);
+    instr::ScorepRuntime runtime(
+        app, instr::InstrumentationFilter::instrument_all());
+    runtime.add_listener(&listener);
+    (void)runtime.execute(ctx);
+    records += archive.records().size();
+  }
+  const double us = seconds_since(t0) / iters * 1e6;
+  if (records == 12345) std::cerr << "";
+  return us;
+}
+
+double bench_trace_post_process(const Options& o) {
+  const int iters = o.quick ? 200 : 2000;
+  hwsim::NodeSimulator node = quiet_node(7);
+  const workload::Benchmark app = lulesh().with_iterations(10);
+  trace::Otf2Archive archive;
+  trace::TraceListener listener(
+      archive,
+      pmc::EventSet({hwsim::PmuEvent::kTOT_INS, hwsim::PmuEvent::kLD_INS}),
+      pmc::CounterSampler(Rng(8), 0.0));
+  instr::ExecutionContext ctx(node);
+  instr::ScorepRuntime runtime(app,
+                               instr::InstrumentationFilter::instrument_all());
+  runtime.add_listener(&listener);
+  (void)runtime.execute(ctx);
+  std::size_t phases = 0;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < iters; ++i) {
+    const trace::Otf2PostProcessor post(archive,
+                                        std::string(instr::kPhaseRegionName));
+    phases += post.phase_instances().size();
+  }
+  const double us = seconds_since(t0) / iters * 1e6;
+  if (phases == 12345) std::cerr << "";
+  return us;
+}
+
+double bench_rrl_run(const Options& o) {
+  const int iters = o.quick ? 200 : 2000;
+  hwsim::NodeSimulator node = quiet_node(9);
+  const workload::Benchmark app = lulesh().with_iterations(5);
+  // The significant regions get one tuned configuration; the filter
+  // instruments exactly those and the phase, as DTA configures it.
+  readex::TuningModel model;
+  for (const auto& r : app.regions())
+    if (r.traits.total_instructions > 1e9)
+      model.add_region(r.name, {kBenchThreads, kBenchCore, kBenchUncore});
+  auto filter = instr::InstrumentationFilter::instrument_all();
+  for (const auto& r : app.regions())
+    if (!model.lookup(r.name)) filter.exclude(r.name);
+  const SystemConfig default_config{24, CoreFreq::mhz(2500),
+                                    UncoreFreq::mhz(3000)};
+  double acc = 0.0;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < iters; ++i)
+    acc += readex::run_with_rrl(app, node, model, filter, default_config)
+               .run.wall_time.value();
+  const double us = seconds_since(t0) / iters * 1e6;
+  if (acc == 0.12345) std::cerr << "";
+  return us;
 }
 
 }  // namespace
@@ -507,30 +716,26 @@ int main(int argc, char** argv) {
 
   const Options o = parse(argc, argv);
 
+  const std::pair<const char*, double (*)(const Options&)> cases[] = {
+      {"mlp_train_epoch_ns_per_sample", bench_train_epoch},
+      {"mlp_forward_scalar_ns_per_point", bench_forward_scalar},
+      {"mlp_forward_batch_ns_per_point", bench_forward_batch},
+      {"grid_recommend_us_per_call", bench_grid_recommend},
+      {"energy_model_predict_ns_per_call", bench_model_predict},
+      {"store_lookup_shard16_t1_ns_per_op", bench_store_t1},
+      {"store_lookup_shard16_t4_ns_per_op", bench_store_t4},
+      {"store_lookup_shard16_t16_ns_per_op", bench_store_t16},
+      {"store_open_ms_per_mb", bench_store_open},
+      {"perf_model_evaluate_ns_per_call", bench_perf_model},
+      {"counter_model_evaluate_ns_per_call", bench_counter_model},
+      {"node_run_kernel_ns_per_call", bench_node_run_kernel},
+      {"traced_app_run_us_per_run", bench_traced_run},
+      {"trace_post_process_us_per_call", bench_trace_post_process},
+      {"rrl_production_run_us_per_run", bench_rrl_run},
+  };
   Json results = Json::object();
-  results["mlp_train_epoch_ns_per_sample"] =
-      min_of(o.repeats, bench_train_epoch, o);
-  results["mlp_forward_scalar_ns_per_point"] =
-      min_of(o.repeats, bench_forward_scalar, o);
-  results["mlp_forward_batch_ns_per_point"] =
-      min_of(o.repeats, bench_forward_batch, o);
-  results["grid_recommend_us_per_call"] =
-      min_of(o.repeats, bench_grid_recommend, o);
-  results["energy_model_predict_ns_per_call"] =
-      min_of(o.repeats, bench_model_predict, o);
-  results["store_lookup_shard1_t1_ns_per_op"] =
-      min_of(o.repeats, bench_store_s1_t1, o);
-  results["store_lookup_shard1_t4_ns_per_op"] =
-      min_of(o.repeats, bench_store_s1_t4, o);
-  results["store_lookup_shard1_t16_ns_per_op"] =
-      min_of(o.repeats, bench_store_s1_t16, o);
-  results["store_lookup_shard16_t1_ns_per_op"] =
-      min_of(o.repeats, bench_store_s16_t1, o);
-  results["store_lookup_shard16_t4_ns_per_op"] =
-      min_of(o.repeats, bench_store_s16_t4, o);
-  results["store_lookup_shard16_t16_ns_per_op"] =
-      min_of(o.repeats, bench_store_s16_t16, o);
-  results["store_open_ms_per_mb"] = min_of(o.repeats, bench_store_open, o);
+  for (const auto& [metric, fn] : cases)
+    results[metric] = min_of(o.repeats, fn, o);
   {
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -559,11 +764,10 @@ int main(int argc, char** argv) {
   workloads["grid_recommend"] = std::string(
       "EnergyModel (5-member ensemble) argmin over the 14x18 CF/UCF grid");
   workloads["store_lookup"] = std::string(
-      o.quick ? "MeasurementStore hit-path lookups, 256 keys x 8 rounds "
-                "per thread; shardN = index shard count, tN = pool threads"
-              : "MeasurementStore hit-path lookups, 2048 keys x 64 rounds "
-                "per thread; shardN = index shard count, tN = pool threads "
-                "(shard1 = the pre-PR-10 single-mutex index)");
+      o.quick ? "MeasurementStore hit-path lookups on the 16-shard index, "
+                "256 keys x 8 rounds per thread; tN = pool threads"
+              : "MeasurementStore hit-path lookups on the 16-shard index, "
+                "2048 keys x 64 rounds per thread; tN = pool threads");
   workloads["store_open"] = std::string(
       o.quick ? "MeasurementStore::open (ro, jobs = hardware threads, as a "
                 "default Session) of a synthetic 1 MB store: 4 "
@@ -571,6 +775,21 @@ int main(int argc, char** argv) {
               : "MeasurementStore::open (ro, jobs = hardware threads, as a "
                 "default Session) of a synthetic 4 MB store: 14 "
                 "acquisition-sweep lines of 1000 samples");
+  workloads["perf_model_evaluate"] = std::string(
+      "PerfModel::evaluate of Lulesh region 0, 24 threads, 2400/1700 MHz");
+  workloads["counter_model_evaluate"] = std::string(
+      "CounterModel::evaluate (every preset) of the same region execution");
+  workloads["node_run_kernel"] = std::string(
+      "NodeSimulator::run_kernel of the same region, default jitter");
+  workloads["traced_app_run"] = std::string(
+      "ScorepRuntime::execute of Lulesh (2 iterations, every region "
+      "instrumented) into an OTF2 archive, jitter 0");
+  workloads["trace_post_process"] = std::string(
+      "Otf2PostProcessor phase split of a traced Lulesh run (10 "
+      "iterations, 2 PMU events), jitter 0");
+  workloads["rrl_production_run"] = std::string(
+      "readex::run_with_rrl of Lulesh (5 iterations), significant regions "
+      "tuned to 24 threads at 2400/1700 MHz, jitter 0");
   report["workloads"] = std::move(workloads);
   report["estimator"] =
       std::string("min over " + std::to_string(o.repeats) + " repeats");
