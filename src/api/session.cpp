@@ -8,6 +8,7 @@
 #include "common/fingerprint.hpp"
 #include "common/parallel.hpp"
 #include "store/cached.hpp"
+#include "tuners/qlearning_tuner.hpp"
 
 namespace ecotune::api {
 namespace {
@@ -251,7 +252,9 @@ TuningOutcome Session::tune_row(const std::string& tuner_name,
   const core::DvfsUfsPlugin::Options po = plugin_options(jobs);
   const auto fingerprint = [&] {
     const baseline::StaticTunerOptions& search = config_.static_search();
-    const tuners::QLearningOptions& qlearn = config_.qlearn();
+    // Q-learning always runs with the default hyperparameters (the
+    // "qlearn" factory in tuners::default_registry() starts from these).
+    const tuners::QLearningOptions qlearn{};
     Fingerprint fp;
     fp.add("tuner", tuner_name)
         .add("objective", request.objective)
@@ -298,7 +301,6 @@ TuningOutcome Session::tune_row(const std::string& tuner_name,
         ctx.key_scope = key;
         ctx.static_search = config_.static_search();
         ctx.plugin = po;
-        ctx.qlearn = config_.qlearn();
         return tuners::default_registry().make(tuner_name, ctx)->tune(request);
       },
       [](const TuningOutcome& outcome) { return outcome.to_json(); });

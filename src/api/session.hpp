@@ -118,11 +118,6 @@ class SessionConfig {
     static_search_ = std::move(opts);
     return *this;
   }
-  /// Q-learning hyperparameters; the session overrides the store.
-  SessionConfig& qlearn(tuners::QLearningOptions opts) {
-    qlearn_ = std::move(opts);
-    return *this;
-  }
 
   // Read accessors (used by Session; public so shims can introspect).
   [[nodiscard]] std::uint64_t train_seed() const { return train_seed_; }
@@ -146,9 +141,6 @@ class SessionConfig {
   [[nodiscard]] const baseline::StaticTunerOptions& static_search() const {
     return static_search_;
   }
-  [[nodiscard]] const tuners::QLearningOptions& qlearn() const {
-    return qlearn_;
-  }
   /// The simulated CPU: always the paper's Haswell-EP.
   [[nodiscard]] const hwsim::CpuSpec& spec() const { return spec_; }
 
@@ -168,7 +160,6 @@ class SessionConfig {
   int repeats_ = 5;
   model::AcquisitionOptions acquisition_;
   baseline::StaticTunerOptions static_search_;
-  tuners::QLearningOptions qlearn_;
   hwsim::CpuSpec spec_ = hwsim::haswell_ep_spec();
 };
 

@@ -79,10 +79,6 @@ class Json {
   /// Parses a JSON document; throws Error on malformed input.
   [[nodiscard]] static Json parse(std::string_view text);
 
-  friend bool operator==(const Json& a, const Json& b) {
-    return a.value_ == b.value_;
-  }
-
  private:
   void dump_to(std::string& out, int indent, int depth) const;
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;

@@ -9,7 +9,7 @@ namespace ecotune {
 /// std::mutex behind a Clang-analyzable capability. libstdc++'s std::mutex
 /// carries no thread-safety attributes, so ECOTUNE_GUARDED_BY(some_std_mutex)
 /// would be rejected by the analysis; this wrapper is the lock type every
-/// annotated class in the tree uses. Zero overhead: the three members
+/// annotated class in the tree uses. Zero overhead: the two members
 /// forward directly.
 class ECOTUNE_CAPABILITY("mutex") Mutex {
  public:
@@ -19,7 +19,6 @@ class ECOTUNE_CAPABILITY("mutex") Mutex {
 
   void lock() ECOTUNE_ACQUIRE() { m_.lock(); }
   void unlock() ECOTUNE_RELEASE() { m_.unlock(); }
-  bool try_lock() ECOTUNE_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   std::mutex m_;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <charconv>
-#include <string>
 #include <string_view>
 #include <system_error>
 
@@ -35,14 +34,6 @@ template <class T>
     return false;
   out = value;
   return true;
-}
-
-/// Locale-independent shortest round-trip formatting (the same contract
-/// common/json relies on for byte-identical output).
-[[nodiscard]] inline std::string format_double(double value) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-  return std::string(buf, res.ptr);
 }
 
 }  // namespace ecotune

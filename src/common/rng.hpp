@@ -15,8 +15,7 @@ namespace ecotune {
   return h;
 }
 
-/// Deterministic xoshiro256** PRNG. Satisfies UniformRandomBitGenerator so it
-/// can drive <random> distributions; all simulator randomness flows through
+/// Deterministic xoshiro256** PRNG; all simulator randomness flows through
 /// named substreams of this generator for reproducible experiments.
 class Rng {
  public:
@@ -32,9 +31,6 @@ class Rng {
   /// Rng(seed).fork(i). Uses a derivation constant distinct from the string
   /// overload so fork(0) can never collide with fork("") or any named fork.
   [[nodiscard]] Rng fork(std::uint64_t tag) const;
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~result_type{0}; }
 
   /// Next raw 64-bit draw.
   result_type operator()();

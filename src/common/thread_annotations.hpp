@@ -59,10 +59,6 @@
 #define ECOTUNE_RELEASE(...) \
   ECOTUNE_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 
-/// This function acquires the capability iff it returns `success`.
-#define ECOTUNE_TRY_ACQUIRE(success, ...) \
-  ECOTUNE_THREAD_ANNOTATION_(try_acquire_capability(success, __VA_ARGS__))
-
 /// The caller must NOT hold the capability (the function acquires it
 /// itself; calling with it held would self-deadlock a non-recursive
 /// mutex).

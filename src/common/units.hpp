@@ -75,15 +75,6 @@ using Bytes = Quantity<struct ByteTag>;      ///< Data volume in bytes.
 constexpr Joules operator*(Watts p, Seconds t) {
   return Joules(p.value() * t.value());
 }
-constexpr Joules operator*(Seconds t, Watts p) { return p * t; }
-/// Power = energy / time.
-constexpr Watts operator/(Joules e, Seconds t) {
-  return Watts(e.value() / t.value());
-}
-/// Time = energy / power.
-constexpr Seconds operator/(Joules e, Watts p) {
-  return Seconds(e.value() / p.value());
-}
 
 /// Strongly typed frequency, stored in MHz to keep grid arithmetic exact.
 /// `Tag` separates the core (DVFS) and uncore (UFS) frequency domains.

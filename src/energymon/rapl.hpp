@@ -32,9 +32,6 @@ class Rapl final : public hwsim::PowerListener {
   [[nodiscard]] Joules delta_energy(std::uint64_t before,
                                     std::uint64_t after) const;
 
-  /// Ground-truth cumulative CPU energy (for tests).
-  [[nodiscard]] Joules exact_total() const { return exact_; }
-
   // PowerListener:
   void on_segment(Seconds duration, Watts node_power, Watts cpu_power) override;
 

@@ -24,7 +24,6 @@ class ClockModulation {
   /// charged latency (zero when unchanged).
   Seconds set_duty_level(int level);
 
-  [[nodiscard]] int duty_level() const { return level_; }
   /// Effective duty fraction in (0, 1].
   [[nodiscard]] double duty() const {
     return static_cast<double>(level_) / kSteps;

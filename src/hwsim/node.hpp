@@ -51,7 +51,6 @@ class NodeSimulator {
 
   [[nodiscard]] const CpuSpec& spec() const { return spec_; }
   [[nodiscard]] int node_id() const { return node_id_; }
-  [[nodiscard]] const NodeVariability& variability() const { return var_; }
   [[nodiscard]] const PowerModel& power_model() const { return power_; }
 
   /// Raw frequency state changes (no transition latency; use X86Adapt for

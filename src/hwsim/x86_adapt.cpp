@@ -4,8 +4,6 @@ namespace ecotune::hwsim {
 
 Seconds X86Adapt::charge(Seconds latency) {
   node_.idle(latency);
-  switch_time_ += latency;
-  ++switch_count_;
   return latency;
 }
 

@@ -21,16 +21,9 @@ class X86Adapt {
   /// Sets both sockets' uncore frequency (concurrent; one latency).
   Seconds set_all_uncore_freqs(UncoreFreq f);
 
-  /// Cumulative time spent in frequency transitions.
-  [[nodiscard]] Seconds total_switch_time() const { return switch_time_; }
-  /// Number of switch operations that actually changed a frequency.
-  [[nodiscard]] long switch_count() const { return switch_count_; }
-
  private:
   Seconds charge(Seconds latency);
   NodeSimulator& node_;
-  Seconds switch_time_{0};
-  long switch_count_ = 0;
 };
 
 }  // namespace ecotune::hwsim

@@ -10,8 +10,6 @@ Seconds ExecutionContext::set_omp_threads(int threads) {
   if (threads == omp_threads_) return Seconds(0);
   omp_threads_ = threads;
   node_.idle(kThreadSwitchLatency);
-  thread_switch_time_ += kThreadSwitchLatency;
-  ++thread_switch_count_;
   return kThreadSwitchLatency;
 }
 

@@ -33,21 +33,10 @@ class ExecutionContext {
   /// Currently active configuration.
   [[nodiscard]] SystemConfig current() const;
 
-  /// Cumulative switching overhead (threads + DVFS + UFS) so far.
-  [[nodiscard]] Seconds total_switch_overhead() const {
-    return thread_switch_time_ + adapt_.total_switch_time();
-  }
-  /// Number of configuration-changing switch operations so far.
-  [[nodiscard]] long switch_count() const {
-    return thread_switch_count_ + adapt_.switch_count();
-  }
-
  private:
   hwsim::NodeSimulator& node_;
   hwsim::X86Adapt adapt_;
   int omp_threads_ = 24;
-  Seconds thread_switch_time_{0};
-  long thread_switch_count_ = 0;
   /// OpenMP team resize cost (omp_set_num_threads + next fork).
   static constexpr Seconds kThreadSwitchLatency{8e-6};
 };

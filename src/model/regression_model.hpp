@@ -17,17 +17,10 @@ class RegressionEnergyModel {
   /// Fits both linear models on `train`.
   void train(const EnergyDataset& train);
 
-  [[nodiscard]] bool trained() const { return trained_; }
-
   /// Predicted normalized energy = predicted power x predicted time.
   [[nodiscard]] double predict(const std::vector<double>& features) const;
   [[nodiscard]] std::vector<double> predict_all(
       const EnergyDataset& ds) const;
-
-  [[nodiscard]] const stats::OlsResult& power_model() const {
-    return power_;
-  }
-  [[nodiscard]] const stats::OlsResult& time_model() const { return time_; }
 
  private:
   stats::OlsResult power_;

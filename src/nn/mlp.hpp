@@ -79,7 +79,6 @@ class Mlp {
   Mlp& operator=(Mlp&&) = default;
   ~Mlp() = default;
 
-  [[nodiscard]] const MlpConfig& config() const { return config_; }
   [[nodiscard]] std::size_t input_size() const {
     return config_.layer_sizes.front();
   }

@@ -227,7 +227,6 @@ std::vector<ScenarioResult> ExperimentsEngine::run(
     total += out.elapsed;
   }
   app_runs_ += static_cast<long>(chunks.size());
-  experiment_time_ += total;
   node_.idle(total);
 
   std::vector<ScenarioResult> results;

@@ -111,8 +111,6 @@ class ExperimentsEngine {
   /// Application runs performed so far (one run covers up to
   /// phase_iterations scenarios).
   [[nodiscard]] long app_runs() const { return app_runs_; }
-  /// Total simulated wall time spent in experiments (the tuning time).
-  [[nodiscard]] Seconds experiment_time() const { return experiment_time_; }
 
   /// Picks the best scenario for the phase region under `objective`.
   [[nodiscard]] static const ScenarioResult& best_phase(
@@ -132,7 +130,6 @@ class ExperimentsEngine {
   Rng rng_;
   long run_calls_ = 0;  ///< disambiguates chunk noise keys across run()s
   long app_runs_ = 0;
-  Seconds experiment_time_{0};
 };
 
 }  // namespace ecotune::ptf

@@ -23,36 +23,26 @@ std::uint64_t SearchSpace::size() const {
   return n;
 }
 
-ScenarioCursor::ScenarioCursor(const SearchSpace& space)
-    : space_(space),
-      odometer_(space.parameters().size(), 0),
-      remaining_(space.size()) {}
-
-std::optional<Scenario> ScenarioCursor::next() {
-  if (remaining_ == 0) return std::nullopt;
-  const auto& params = space_.parameters();
-  Scenario s;
-  s.id = id_++;
-  for (std::size_t i = 0; i < params.size(); ++i)
-    s.values[params[i].name] = params[i].values[odometer_[i]];
-  --remaining_;
-  // Odometer increment, parameter 0 fastest (matches exhaustive()).
-  for (std::size_t i = 0; i < odometer_.size(); ++i) {
-    if (++odometer_[i] < params[i].values.size()) break;
-    odometer_[i] = 0;
-  }
-  return s;
-}
-
 std::vector<Scenario> SearchSpace::exhaustive() const {
   std::vector<Scenario> out;
   if (params_.empty()) return out;
   const std::uint64_t n = size();
   ensure(n <= std::numeric_limits<std::size_t>::max() / sizeof(Scenario),
-         "SearchSpace::exhaustive: space too large to materialize; "
-         "use cursor()/for_each_scenario");
+         "SearchSpace::exhaustive: space too large to materialize");
   out.reserve(static_cast<std::size_t>(n));
-  for_each_scenario([&](Scenario s) { out.push_back(std::move(s)); });
+  std::vector<std::size_t> odometer(params_.size(), 0);
+  for (std::uint64_t id = 0; id < n; ++id) {
+    Scenario s;
+    s.id = static_cast<std::int64_t>(id);
+    for (std::size_t i = 0; i < params_.size(); ++i)
+      s.values[params_[i].name] = params_[i].values[odometer[i]];
+    out.push_back(std::move(s));
+    // Odometer increment, parameter 0 fastest.
+    for (std::size_t i = 0; i < odometer.size(); ++i) {
+      if (++odometer[i] < params_[i].values.size()) break;
+      odometer[i] = 0;
+    }
+  }
   return out;
 }
 

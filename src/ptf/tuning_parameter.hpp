@@ -41,7 +41,7 @@ inline constexpr std::string_view kUncoreFreqParam = "uncore_freq";
 /// (paper Sec. III: "the tuning plugin creates scenarios ... which are then
 /// executed and evaluated by the experiments engine").
 struct Scenario {
-  /// 64-bit: lazily enumerated search spaces can exceed INT_MAX scenarios.
+  /// 64-bit, like SearchSpace::size().
   std::int64_t id = 0;
   std::map<std::string, int> values;
 

@@ -12,7 +12,6 @@ int Frontend::run(TuningPlugin& plugin, const workload::Benchmark& app,
   int scenarios_executed = 0;
   int step = 0;
   app_runs_ = 0;
-  experiment_time_ = Seconds(0);
   while (plugin.has_next_tuning_step()) {
     const std::vector<Scenario> scenarios = plugin.create_scenarios();
     if (scenarios.empty()) continue;
@@ -30,7 +29,6 @@ int Frontend::run(TuningPlugin& plugin, const workload::Benchmark& app,
                              step_options);
     const auto results = engine.run(scenarios, plugin.scenario_base());
     app_runs_ += engine.app_runs();
-    experiment_time_ += engine.experiment_time();
     scenarios_executed += static_cast<int>(scenarios.size());
     plugin.process_results(results);
   }

@@ -74,14 +74,12 @@ class Frontend {
   int run(TuningPlugin& plugin, const workload::Benchmark& app,
           hwsim::NodeSimulator& node);
 
-  /// Experiment statistics of the last run().
+  /// Application runs of the last run().
   [[nodiscard]] long app_runs() const { return app_runs_; }
-  [[nodiscard]] Seconds experiment_time() const { return experiment_time_; }
 
  private:
   EngineOptions engine_options_;
   long app_runs_ = 0;
-  Seconds experiment_time_{0};
 };
 
 }  // namespace ecotune::ptf

@@ -80,28 +80,20 @@ std::string TuningService::request_key(const RpcRequest& req) {
 Json TuningService::handle(const Json& frame) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string tenant = "default";
+  const Json id =
+      frame.is_object() && frame.contains("id") ? frame.at("id") : Json();
   Json response;
   try {
     const RpcRequest req = RpcRequest::from_frame(frame);
     tenant = req.tenant;
     response = ok_response(req.id, dispatch(req));
   } catch (const UnknownMethodError& e) {
-    const Json id = frame.is_object() && frame.contains("id") ? frame.at("id")
-                                                              : Json();
     response = error_response(id, "unknown_method", e.what());
-  } catch (const ConfigError& e) {
+  } catch (const Error& e) {
     // Unknown benchmark/tuner/objective names and malformed params are the
     // caller's fault; say so instead of "internal".
-    const Json id = frame.is_object() && frame.contains("id") ? frame.at("id")
-                                                              : Json();
-    response = error_response(id, "bad_request", e.what());
-  } catch (const Error& e) {
-    const Json id = frame.is_object() && frame.contains("id") ? frame.at("id")
-                                                              : Json();
     response = error_response(id, "bad_request", e.what());
   } catch (const std::exception& e) {
-    const Json id = frame.is_object() && frame.contains("id") ? frame.at("id")
-                                                              : Json();
     response = error_response(id, "internal", e.what());
   }
   const std::chrono::duration<double> elapsed =
@@ -159,17 +151,11 @@ Json TuningService::dispatch(const RpcRequest& req) {
   }
   if (req.method == "dta") {
     const std::string& benchmark = required_string(params, "benchmark");
-    const api::DtaReport report =
-        session_.run_dta(workload::BenchmarkSuite::by_name(benchmark),
-                         "serve-" + request_key(req));
-    // The PR 5 report-document shape (api::JsonReportSink): one daemon
-    // response is one single-report document.
-    Json doc = Json::object();
-    doc["schema"] = "ecotune.dta.v1";
-    Json::Array reports;
-    reports.push_back(report.to_json());
-    doc["reports"] = Json(std::move(reports));
-    return doc;
+    // One daemon response is one single-report document.
+    return api::CampaignReport{
+        {session_.run_dta(workload::BenchmarkSuite::by_name(benchmark),
+                          "serve-" + request_key(req))}}
+        .to_json();
   }
   if (req.method == "evaluate") {
     const std::string& benchmark = required_string(params, "benchmark");

@@ -30,7 +30,6 @@ class Matrix {
   [[nodiscard]] const simd::aligned_vector<double>& data() const {
     return data_;
   }
-  [[nodiscard]] simd::aligned_vector<double>& data() { return data_; }
 
   /// One row as a non-owning view into the row-major storage. The view is
   /// invalidated by any operation that reallocates the matrix; it lets the

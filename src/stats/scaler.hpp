@@ -15,8 +15,6 @@ class StandardScaler {
   void fit(const Matrix& x);
 
   [[nodiscard]] bool fitted() const { return !mean_.empty(); }
-  [[nodiscard]] const std::vector<double>& mean() const { return mean_; }
-  [[nodiscard]] const std::vector<double>& scale() const { return scale_; }
 
   /// Standardizes a copy of the whole matrix.
   [[nodiscard]] Matrix transform(const Matrix& x) const;

@@ -5,6 +5,7 @@
 #include "baseline/exhaustive_tuner.hpp"
 #include "common/error.hpp"
 #include "tuners/governor_tuner.hpp"
+#include "tuners/qlearning_tuner.hpp"
 
 namespace ecotune::tuners {
 namespace {
@@ -89,7 +90,7 @@ const TunerRegistry& default_registry() {
         },
         /*uses_model=*/true);
     r.add("qlearn", [](const TunerContext& ctx) -> std::unique_ptr<Tuner> {
-      QLearningOptions opts = ctx.qlearn;
+      QLearningOptions opts;
       opts.store = ctx.store;
       opts.key_scope = ctx.key_scope;
       return std::make_unique<QLearningTuner>(*ctx.node, opts);

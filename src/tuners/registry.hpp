@@ -10,15 +10,14 @@
 #include "core/dvfs_ufs_plugin.hpp"
 #include "ptf/tuner.hpp"
 #include "tuners/dta_tuner.hpp"
-#include "tuners/qlearning_tuner.hpp"
 
 namespace ecotune::tuners {
 
 /// Everything a strategy factory may need. jobs/store are threaded into
 /// each strategy's options by the factory, mirroring how Session overrode
 /// them on the hand-wired stacks; `model` is the lazy trained-model
-/// provider only the DTA adapter consumes. The exhaustive and governor
-/// strategies always run with their default options.
+/// provider only the DTA adapter consumes. The exhaustive, qlearn and
+/// governor strategies always run with their default options.
 struct TunerContext {
   hwsim::NodeSimulator* node = nullptr;
   DtaTuner::ModelProvider model;  ///< may be empty if "dta" is never made
@@ -31,7 +30,6 @@ struct TunerContext {
   std::string key_scope;
   baseline::StaticTunerOptions static_search;
   core::DvfsUfsPlugin::Options plugin;
-  QLearningOptions qlearn;
 };
 
 /// Name -> factory map of every registered tuning strategy. Names are the

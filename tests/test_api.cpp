@@ -677,17 +677,13 @@ TEST(AcquisitionSummary, AcquireDatasetStillDecodesEverySample) {
 
 // --- The tune row ----------------------------------------------------------
 
-/// A session whose strategies are cheap: a one-thread-count static search
-/// and a short Q-learning walk.
+/// A session whose static search is cheap: one thread count.
 api::SessionConfig cheap_tune_config() {
   baseline::StaticTunerOptions search;
   search.thread_counts = {24};
   search.cf_stride = 4;
   search.ucf_stride = 4;
-  tuners::QLearningOptions qlearn;
-  qlearn.episodes = 6;
-  qlearn.thread_counts = {24};
-  return tiny_config().jobs(2).static_search(search).qlearn(qlearn);
+  return tiny_config().jobs(2).static_search(search);
 }
 
 TEST(ApiTuneRow, RepeatedKeyedTuneIsOneStoreHit) {

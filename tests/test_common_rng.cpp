@@ -159,14 +159,5 @@ TEST(Rng, Fnv1aIsStable) {
   EXPECT_NE(fnv1a(""), fnv1a("a"));
 }
 
-TEST(Rng, SatisfiesUniformRandomBitGenerator) {
-  static_assert(Rng::min() == 0);
-  static_assert(Rng::max() == ~std::uint64_t{0});
-  Rng r(1);
-  const auto v = r();
-  EXPECT_GE(v, Rng::min());
-  EXPECT_LE(v, Rng::max());
-}
-
 }  // namespace
 }  // namespace ecotune

@@ -27,8 +27,8 @@ class ClockModulationTest : public ::testing::Test {
 
 TEST_F(ClockModulationTest, DefaultsToUnmodulated) {
   ClockModulation mod(node_);
-  EXPECT_EQ(mod.duty_level(), 16);
   EXPECT_DOUBLE_EQ(mod.duty(), 1.0);
+  EXPECT_DOUBLE_EQ(mod.set_duty_level(16).value(), 0.0);  // already level 16
   const auto plain = node_.run_kernel(compute_kernel(), 24);
   const auto via_mod = mod.run_kernel(compute_kernel(), 24);
   EXPECT_DOUBLE_EQ(via_mod.time.value(), plain.time.value());

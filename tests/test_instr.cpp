@@ -20,13 +20,15 @@ TEST(ExecutionContext, AppliesFullConfigAndTracksOverhead) {
   auto node = make_node();
   ExecutionContext ctx(node);
   const SystemConfig target{16, CoreFreq::mhz(1800), UncoreFreq::mhz(2200)};
+  const Seconds t0 = node.now();
   const Seconds overhead = ctx.apply(target);
   EXPECT_EQ(ctx.current(), target);
-  EXPECT_GT(overhead.value(), 0.0);
-  EXPECT_DOUBLE_EQ(ctx.total_switch_overhead().value(), overhead.value());
-  EXPECT_EQ(ctx.switch_count(), 3);  // threads + core + uncore
+  // Threads (8 us) + core (21 us) + uncore (20 us), charged on the clock.
+  EXPECT_DOUBLE_EQ(overhead.value(), 8e-6 + 21e-6 + 20e-6);
+  EXPECT_DOUBLE_EQ((node.now() - t0).value(), overhead.value());
   // Re-applying the same config is free.
   EXPECT_DOUBLE_EQ(ctx.apply(target).value(), 0.0);
+  EXPECT_DOUBLE_EQ((node.now() - t0).value(), overhead.value());
 }
 
 TEST(ExecutionContext, RejectsInvalidThreadCounts) {

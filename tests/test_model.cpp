@@ -359,10 +359,10 @@ TEST(RegressionEnergyModel, PredictsProductOfLinearModels) {
     ds.samples.push_back(std::move(s));
   }
   RegressionEnergyModel reg;
+  EXPECT_THROW((void)reg.predict(ds.samples[0].features), PreconditionError);
   reg.train(ds);
   const auto pred = reg.predict_all(ds);
   EXPECT_LT(stats::mape(ds.labels(), pred), 1.0);
-  EXPECT_TRUE(reg.trained());
 }
 
 }  // namespace

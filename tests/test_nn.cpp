@@ -299,8 +299,9 @@ TEST(Mlp, AdamStateSurvivesSerializationRoundTrip) {
   for (int e = 0; e < 3; ++e) net.train_epoch(x, y, shuffle);
 
   Mlp restored = Mlp::from_json(Json::parse(net.to_json().dump()));
-  EXPECT_EQ(restored.config().beta1, cfg.beta1);
-  EXPECT_EQ(restored.config().epsilon, cfg.epsilon);
+  const Json restored_json = restored.to_json();
+  EXPECT_EQ(restored_json.at("beta1").as_number(), cfg.beta1);
+  EXPECT_EQ(restored_json.at("epsilon").as_number(), cfg.epsilon);
   Rng sa(34), sb(34);
   for (int e = 0; e < 3; ++e) {
     EXPECT_EQ(net.train_epoch(x, y, sa), restored.train_epoch(x, y, sb))
@@ -332,9 +333,10 @@ TEST(Mlp, LoadsLegacyJsonWithoutOptimizerState) {
   legacy["layers"] = std::move(layers);
 
   Mlp restored = Mlp::from_json(legacy);
-  EXPECT_EQ(restored.config().beta1, MlpConfig{}.beta1);
-  EXPECT_EQ(restored.config().beta2, MlpConfig{}.beta2);
-  EXPECT_EQ(restored.config().epsilon, MlpConfig{}.epsilon);
+  const Json restored_json = restored.to_json();
+  EXPECT_EQ(restored_json.at("beta1").as_number(), MlpConfig{}.beta1);
+  EXPECT_EQ(restored_json.at("beta2").as_number(), MlpConfig{}.beta2);
+  EXPECT_EQ(restored_json.at("epsilon").as_number(), MlpConfig{}.epsilon);
   Rng probe(42);
   for (int i = 0; i < 16; ++i) {
     std::vector<double> p(9);

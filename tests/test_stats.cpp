@@ -204,8 +204,10 @@ TEST(Scaler, JsonRoundTrip) {
   scaler.fit(x);
   const auto restored = StandardScaler::from_json(
       Json::parse(scaler.to_json().dump()));
-  EXPECT_EQ(restored.mean(), scaler.mean());
-  EXPECT_EQ(restored.scale(), scaler.scale());
+  EXPECT_EQ(restored.to_json().dump(), scaler.to_json().dump());
+  // The restored mean and scale standardize bit-identically.
+  const Matrix probe = mat({{0.5, 7.0}, {3, 4}});
+  EXPECT_EQ(restored.transform(probe).data(), scaler.transform(probe).data());
 }
 
 TEST(Scaler, ConstantFeatureDoesNotDivideByZero) {

@@ -20,6 +20,7 @@
 #include "common/error.hpp"
 #include "store/measurement_store.hpp"
 #include "tuners/governor_tuner.hpp"
+#include "tuners/qlearning_tuner.hpp"
 #include "tuners/registry.hpp"
 #include "workload/suite.hpp"
 
@@ -384,7 +385,7 @@ TEST(GovernorTuner, WarmRestartReplaysWholeRunWithZeroMisses) {
 // -- Session plumbing -------------------------------------------------------
 
 TEST(SessionTune, ThreadsObjectiveAndEqualCallsReturnEqualBytes) {
-  api::Session session(api::SessionConfig{}.seed(11).qlearn(short_qlearn()));
+  api::Session session(api::SessionConfig{}.seed(11));
   const auto app = workload::BenchmarkSuite::by_name("Mcb");
 
   const TuningOutcome capped = session.tune("qlearn", app, "power_cap:250");
@@ -410,8 +411,8 @@ TEST(SessionTune, ThreadsObjectiveAndEqualCallsReturnEqualBytes) {
 
 TEST(SessionTune, SessionsWithEqualConfigAgreeBitForBit) {
   const auto app = workload::BenchmarkSuite::by_name("Mcb");
-  api::Session a(api::SessionConfig{}.seed(11).qlearn(short_qlearn()));
-  api::Session b(api::SessionConfig{}.seed(11).qlearn(short_qlearn()));
+  api::Session a(api::SessionConfig{}.seed(11));
+  api::Session b(api::SessionConfig{}.seed(11));
   EXPECT_EQ(a.tune("qlearn", app).to_json().dump(-1),
             b.tune("qlearn", app).to_json().dump(-1));
 }

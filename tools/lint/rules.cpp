@@ -82,7 +82,7 @@ void check_locale_number_io(const Source& src, const std::string& path,
       emit(out, src, path, pos, "locale-number-io",
            std::string("'") + fn +
                "' with a floating-point conversion formats through the "
-               "process locale; use common/numbers format_double");
+               "process locale; use std::to_chars");
     }
   }
 }
