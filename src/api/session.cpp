@@ -71,7 +71,7 @@ Session::Session(SessionConfig config)
   store_.open(
       config_.cache_dir(),
       store::resolve_store_mode(config_.cache_mode(), config_.cache_dir()),
-      config_.scope(), jobs_);
+      config_.scope());
 }
 
 model::DataAcquisition Session::training_acquisition() {

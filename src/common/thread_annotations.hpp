@@ -39,12 +39,6 @@
 /// Pointer member whose *pointee* is guarded by the named capability.
 #define ECOTUNE_PT_GUARDED_BY(x) ECOTUNE_THREAD_ANNOTATION_(pt_guarded_by(x))
 
-/// Lock-ordering declarations (deadlock prevention).
-#define ECOTUNE_ACQUIRED_BEFORE(...) \
-  ECOTUNE_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-#define ECOTUNE_ACQUIRED_AFTER(...) \
-  ECOTUNE_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
-
 /// The caller must hold the capability when calling this function (held
 /// on entry and on exit).
 #define ECOTUNE_REQUIRES(...) \
@@ -64,15 +58,6 @@
 /// mutex).
 #define ECOTUNE_EXCLUDES(...) \
   ECOTUNE_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
-
-/// Runtime assertion that the capability is held (for code reached only
-/// under a lock the analysis cannot see).
-#define ECOTUNE_ASSERT_CAPABILITY(x) \
-  ECOTUNE_THREAD_ANNOTATION_(assert_capability(x))
-
-/// This function returns a reference to the named capability.
-#define ECOTUNE_RETURN_CAPABILITY(x) \
-  ECOTUNE_THREAD_ANNOTATION_(lock_returned(x))
 
 /// Escape hatch: disables the analysis for one function. Every use must
 /// carry a comment explaining why the pattern is inexpressible.

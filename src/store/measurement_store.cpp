@@ -1,6 +1,12 @@
 #include "store/measurement_store.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <filesystem>
 #include <sstream>
@@ -11,7 +17,6 @@
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace ecotune::store {
@@ -30,45 +35,20 @@ std::optional<std::uint64_t> parse_hex_fingerprint(std::string_view text) {
   return value;
 }
 
-/// One line's envelope, or why it is corrupt (`error` non-empty).
-struct Envelope {
-  std::string task;
-  std::uint64_t fingerprint = 0;
-  std::string_view payload;
-  std::string error;
-};
+/// open() reads the file through a buffer of at most this size.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
 
-/// Decodes only the envelope of a store line; the payload is checked for
-/// structure and returned where it lies in the line.
-Envelope read_envelope(std::string_view line) {
-  Envelope e;
-  try {
-    JsonReader reader(line);
-    std::optional<std::uint64_t> fp;
-    std::optional<std::string_view> payload;
-    reader.begin_object();
-    for (std::string_view key; reader.next_key(key);) {
-      if (key == "task") {
-        e.task = reader.string();
-      } else if (key == "fp") {
-        fp = parse_hex_fingerprint(reader.string());
-        ensure(fp.has_value(), "bad fingerprint");
-      } else if (key == "payload") {
-        payload = reader.skip();
-      } else {
-        reader.skip();
-      }
-    }
-    reader.end();
-    ensure(!e.task.empty(), "missing or empty task");
-    ensure(fp.has_value(), "missing fingerprint");
-    ensure(payload.has_value(), "missing payload");
-    e.fingerprint = *fp;
-    e.payload = *payload;
-  } catch (const std::exception& ex) {
-    e.error = ex.what();
-  }
-  return e;
+/// The pieces of a store line, {"fp":"<hex>","payload":<value>,"task":"…"}:
+/// the bytes Json writes for that object (keys sorted). insert() writes
+/// them and open() parses them.
+constexpr std::string_view kFp = "{\"fp\":\"";
+constexpr std::string_view kPayload = "\",\"payload\":";
+constexpr std::string_view kTask = ",\"task\":";
+
+/// Throws the Error for a failed system call on the store file.
+[[noreturn]] void fail(std::string_view what, const std::string& path) {
+  throw Error("MeasurementStore: cannot " + std::string(what) + " '" + path +
+              "': " + std::generic_category().message(errno));
 }
 
 }  // namespace
@@ -105,8 +85,12 @@ StoreMode resolve_store_mode(const std::string& mode_text,
   return mode;
 }
 
+MeasurementStore::~MeasurementStore() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 void MeasurementStore::open(const std::string& cache_dir, StoreMode mode,
-                            std::string scope, int jobs) {
+                            std::string scope) {
   // open() runs before any concurrent use (drivers open during CLI setup),
   // so the one-time setup below needs no locking; load_file still routes
   // entries through the shard locks to keep the analysis contract uniform.
@@ -127,95 +111,115 @@ void MeasurementStore::open(const std::string& cache_dir, StoreMode mode,
 
   dir_ = cache_dir;
   file_path_ = (fs::path(cache_dir) / kStoreFileName).string();
-  if (fs::exists(file_path_)) load_file(mode, jobs);
-
-  if (mode == StoreMode::kReadWrite) {
-    // Unbuffered stream + one write() per entry line (below): with the OS
-    // in append mode, concurrent writers sharing one cache directory
-    // cannot interleave partial lines inside each other's entries.
-    const MutexLock lock(append_mutex_);
-    appender_.rdbuf()->pubsetbuf(nullptr, 0);
-    appender_.open(file_path_, std::ios::app);
-    ensure(appender_.good(),
-           "MeasurementStore::open: cannot append to '" + file_path_ + "'");
+  // O_APPEND: each write() lands whole at the end of the file, so
+  // processes sharing one cache directory never interleave partial lines.
+  const int flags = mode == StoreMode::kReadWrite
+                        ? O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC
+                        : O_RDONLY | O_CLOEXEC;
+  fd_ = ::open(file_path_.c_str(), flags, 0666);
+  if (fd_ >= 0) {
+    load_file(mode);
+  } else if (mode == StoreMode::kReadWrite || errno != ENOENT) {
+    fail("open", file_path_);
   }
   mode_ = mode;
 }
 
-void MeasurementStore::load_file(StoreMode mode, int jobs) {
-  namespace fs = std::filesystem;
-  ThreadPool pool(jobs);
-  // Read in one slice per job: for a multi-MB store, faulting in the fresh
-  // buffer costs more than the copy, and the faults proceed in parallel.
-  const auto size = static_cast<std::size_t>(fs::file_size(file_path_));
-  file_ = std::make_unique_for_overwrite<char[]>(size);
-  const std::size_t slices = static_cast<std::size_t>(pool.jobs());
-  const std::size_t slice = (size + slices - 1) / slices;
-  pool.run(slices, [&](std::size_t k) {
-    const std::size_t begin = std::min(size, k * slice);
-    const std::size_t count = std::min(size, begin + slice) - begin;
-    std::ifstream is(file_path_, std::ios::binary);
-    is.seekg(static_cast<std::streamoff>(begin));
-    is.read(file_.get() + begin, static_cast<std::streamsize>(count));
-    ensure(is.gcount() == static_cast<std::streamsize>(count),
-           "MeasurementStore: cannot read '" + file_path_ + "'");
-  });
-  std::string_view text(file_.get(), size);
-  if (mode == StoreMode::kReadWrite && !text.empty() &&
-      text.back() != '\n') {
-    // A writer died mid-append. Appending behind the torn line would glue
-    // the next entry onto it and lose both, so cut the file back to its
-    // last complete line first (npos + 1 == 0: no complete line at all).
-    const std::size_t keep = text.rfind('\n') + 1;
-    log::warn("store") << "repairing torn tail of " << file_path_
-                       << ": dropping " << text.size() - keep
-                       << " bytes after the last complete line";
-    std::error_code ec;
-    fs::resize_file(file_path_, keep, ec);
-    ensure(!ec, "MeasurementStore::open: cannot truncate '" + file_path_ +
-                    "': " + ec.message());
-    text = text.substr(0, keep);
-    const MutexLock lock(append_mutex_);
-    ++repaired_;
-  }
-  struct Line {
-    std::string_view text;
-    long number = 0;
-  };
-  std::vector<Line> lines;
+void MeasurementStore::load_file(StoreMode mode) {
+  struct stat file {};
+  if (::fstat(fd_, &file) != 0) fail("stat", file_path_);
+  // No larger than the file: an empty or small store costs no 1 MiB.
+  std::vector<char> chunk(
+      std::min(kChunkBytes, static_cast<std::size_t>(file.st_size)));
+  std::string carry;           // the unterminated line read so far
+  std::uint64_t carry_at = 0;  // its file offset
+  std::uint64_t offset = 0;    // bytes of the file read so far
   long line_no = 0;
-  for (std::size_t begin = 0; begin < text.size();) {
-    std::size_t end = text.find('\n', begin);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(begin, end - begin);
-    begin = end + 1;
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!line.empty()) lines.push_back({line, line_no});
-  }
-  // Lines are validated in parallel (every payload byte is scanned);
-  // indexing then runs in file order, so later duplicates still win and
-  // rejections are logged in line order.
-  std::vector<Envelope> envelopes(lines.size());
-  pool.run(lines.size(),
-           [&](std::size_t i) { envelopes[i] = read_envelope(lines[i].text); });
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    Envelope& e = envelopes[i];
-    if (!e.error.empty()) {
-      // Loud rejection: a corrupt entry must never silently answer a
-      // lookup, and the operator must learn the cache is damaged.
-      {
-        const MutexLock lock(append_mutex_);
-        ++rejected_;
+  // Indexes each complete line from `offset` to the end of the file.
+  const auto scan = [&] {
+    for (ssize_t n = 0; (n = ::pread(fd_, chunk.data(), chunk.size(),
+                                      static_cast<off_t>(offset))) != 0;
+         offset += static_cast<std::uint64_t>(n)) {
+      if (n < 0) fail("read", file_path_);
+      const std::string_view text(chunk.data(), static_cast<std::size_t>(n));
+      std::size_t begin = 0;
+      for (std::size_t end = 0;
+           (end = text.find('\n', begin)) != std::string_view::npos;
+           begin = end + 1) {
+        if (carry.empty()) {
+          index_line(text.substr(begin, end - begin), offset + begin,
+                     ++line_no);
+        } else {
+          carry += text.substr(begin, end - begin);
+          index_line(carry, carry_at, ++line_no);
+          carry.clear();
+        }
       }
-      log::error("store") << "rejecting corrupt cache entry " << file_path_
-                          << ':' << lines[i].number << " (" << e.error << ')';
-      continue;
+      if (carry.empty()) carry_at = offset + begin;
+      carry += text.substr(begin);
     }
-    Shard& shard = shard_of(e.task);
-    const MutexLock lock(shard.mutex_);
-    shard.entries_[std::move(e.task)] = Entry{e.fingerprint, e.payload};
+  };
+  scan();
+  if (carry.empty()) return;
+  if (mode == StoreMode::kReadOnly) return reject(line_no + 1, "torn tail");
+  // The unterminated line is a live writer's, or the torn tail of a writer
+  // that died mid-append. Appends hold the lock shared, so under the
+  // exclusive lock none is in flight: read the file again from that line
+  // on, and what is still unterminated then is torn. Appending behind it
+  // would glue the next entry onto it and lose both, so cut it off.
+  if (::flock(fd_, LOCK_EX) != 0) fail("lock", file_path_);
+  carry.clear();
+  offset = carry_at;
+  scan();
+  const bool torn = !carry.empty();
+  if (torn && ::ftruncate(fd_, static_cast<off_t>(carry_at)) != 0)
+    fail("truncate", file_path_);  // closing fd_ releases the lock
+  ::flock(fd_, LOCK_UN);
+  if (!torn) return;
+  log::warn("store") << "repairing torn tail of " << file_path_
+                     << ": dropping " << carry.size()
+                     << " bytes after the last complete line";
+  ++repaired_;
+}
+
+void MeasurementStore::index_line(std::string_view line, std::uint64_t at,
+                                  long line_no) {
+  // The task is the string after the line's last `,"task":` (a JSON
+  // string escapes its quotes, so only the envelope's key is that); the
+  // payload is not read.
+  if (line.ends_with('\r')) line.remove_suffix(1);
+  if (line.empty()) return;
+  const std::size_t fp_end = line.find('"', kFp.size());
+  const std::size_t payload_at = fp_end + kPayload.size();
+  const std::size_t task_at = line.rfind(kTask);
+  std::optional<std::uint64_t> fp;
+  std::string task;
+  if (line.starts_with(kFp) && line.ends_with('}') &&
+      fp_end != std::string_view::npos && task_at != std::string_view::npos &&
+      task_at > payload_at && line.substr(fp_end).starts_with(kPayload)) {
+    fp = parse_hex_fingerprint(line.substr(kFp.size(), fp_end - kFp.size()));
+    try {
+      JsonReader reader(line.substr(task_at + kTask.size(),
+                                    line.size() - 1 - task_at - kTask.size()));
+      task = reader.string();
+      reader.end();
+    } catch (const std::exception&) {
+      task.clear();
+    }
   }
+  if (!fp || task.empty()) return reject(line_no, "not a store envelope");
+  Shard& shard = shard_of(task);
+  const MutexLock lock(shard.mutex_);
+  shard.entries_[std::move(task)] =
+      Entry{*fp, nullptr, at + payload_at, task_at - payload_at, line_no};
+}
+
+void MeasurementStore::reject(long line_no, std::string_view why) {
+  // Loud rejection: a corrupt entry must never silently answer a lookup,
+  // and the operator must learn the cache is damaged.
+  ++rejected_;
+  log::error("store") << "rejecting corrupt cache entry " << file_path_ << ':'
+                      << line_no << " (" << why << ')';
 }
 
 std::string MeasurementStore::scoped(const std::string& task) const {
@@ -242,11 +246,12 @@ std::optional<std::string_view> MeasurementStore::lookup(
   const std::string task = scoped(key.task);
   Shard& shard = shard_of(task);
   const MutexLock lock(shard.mutex_);
-  return shard.lookup_locked(task, key.fingerprint);
+  return shard.lookup_locked(task, key.fingerprint, fd_, file_path_);
 }
 
 std::optional<std::string_view> MeasurementStore::Shard::lookup_locked(
-    const std::string& task, std::uint64_t fingerprint) {
+    const std::string& task, std::uint64_t fingerprint, int fd,
+    const std::string& file_path) {
   auto it = entries_.find(task);
   if (it == entries_.end()) {
     ++misses_;
@@ -261,8 +266,37 @@ std::optional<std::string_view> MeasurementStore::Shard::lookup_locked(
     ++misses_;
     return std::nullopt;
   }
+  Entry& entry = it->second;
+  if (entry.data == nullptr) {
+    // First hit of an entry loaded at open: read its bytes and check them
+    // as open() once did, so a corrupt payload still never answers.
+    std::string& bytes = lines_.emplace_back(entry.size, '\0');
+    std::string why = "short read";
+    try {
+      if (::pread(fd, bytes.data(), bytes.size(),
+                  static_cast<off_t>(entry.offset)) ==
+          static_cast<ssize_t>(bytes.size())) {
+        JsonReader reader(bytes);
+        reader.skip();
+        reader.end();
+        why.clear();
+      }
+    } catch (const std::exception& ex) {
+      why = ex.what();
+    }
+    if (!why.empty()) {
+      log::error("store") << "rejecting corrupt cache entry " << file_path
+                          << ':' << entry.line << " (" << why << ')';
+      lines_.pop_back();
+      entries_.erase(it);
+      ++rejected_;
+      ++misses_;
+      return std::nullopt;
+    }
+    entry.data = bytes.data();
+  }
   ++hits_;
-  return it->second.payload;
+  return std::string_view(entry.data, entry.size);
 }
 
 void MeasurementStore::insert(const MeasurementKey& key, const Json& payload) {
@@ -271,14 +305,15 @@ void MeasurementStore::insert(const MeasurementKey& key, const Json& payload) {
   ECOTUNE_DCHECK(key.fingerprint != 0,
                  "MeasurementStore::insert: key carries no fingerprint");
   const std::string task = scoped(key.task);
-  // The line Json writes for {"task", "fp", "payload"} (keys in sorted
-  // order), assembled around the payload's bytes so the index keeps them.
-  std::string line = "{\"fp\":\"" + Fingerprint::to_hex(key.fingerprint) +
-                     "\",\"payload\":";
+  // The envelope is assembled around the payload's bytes so the index
+  // keeps them.
+  std::string line(kFp);
+  line += Fingerprint::to_hex(key.fingerprint);
+  line += kPayload;
   const std::size_t payload_at = line.size();
   line += payload.dump(-1);
   const std::size_t payload_size = line.size() - payload_at;
-  line += ",\"task\":";
+  line += kTask;
   line += Json(task).dump(-1);
   line += "}\n";
   const std::string* stored = nullptr;
@@ -287,8 +322,7 @@ void MeasurementStore::insert(const MeasurementKey& key, const Json& payload) {
     const MutexLock lock(shard.mutex_);
     stored = &shard.lines_.emplace_back(std::move(line));
     shard.entries_[task] =
-        Entry{key.fingerprint,
-              std::string_view(*stored).substr(payload_at, payload_size)};
+        Entry{key.fingerprint, stored->data() + payload_at, 0, payload_size, 0};
   }
   // Shard lock released before the append lock is taken: the two locks are
   // never nested, so the overall order is acyclic by construction. The
@@ -297,11 +331,12 @@ void MeasurementStore::insert(const MeasurementKey& key, const Json& payload) {
   // order, but task keys are unique per measurement context and reload is
   // last-wins, so both interleavings replay to the same index.
   const MutexLock lock(append_mutex_);
-  // One write() call for the whole "entry\n" so appends stay atomic.
-  appender_.write(stored->data(), static_cast<std::streamsize>(stored->size()));
-  appender_.flush();
-  ensure(appender_.good(),
-         "MeasurementStore::insert: write to '" + file_path_ + "' failed");
+  // One write() for the whole "entry\n" keeps the append atomic; the shared
+  // lock keeps another store's rw open() from cutting it as a torn tail.
+  if (::flock(fd_, LOCK_SH) != 0) fail("lock", file_path_);
+  const ssize_t n = ::write(fd_, stored->data(), stored->size());
+  ::flock(fd_, LOCK_UN);
+  if (n != static_cast<ssize_t>(stored->size())) fail("append to", file_path_);
   ++writes_;
 }
 
@@ -311,16 +346,17 @@ StoreStats MeasurementStore::stats() const {
   // (no torn reads), and with no in-flight requests the sums equal what a
   // single-mutex index would report. Summing in shard order keeps the
   // analysis happy -- no dynamic all-shards lock set.
+  total.rejected = rejected_;
+  total.repaired = repaired_;
   for (const auto& shard : shards_) {
     const MutexLock lock(shard.mutex_);
     total.hits += shard.hits_;
     total.misses += shard.misses_;
     total.invalidated += shard.invalidated_;
+    total.rejected += shard.rejected_;
   }
   const MutexLock lock(append_mutex_);
-  total.rejected = rejected_;
   total.writes = writes_;
-  total.repaired = repaired_;
   return total;
 }
 

@@ -1,6 +1,10 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/file.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -16,6 +20,7 @@
 #include "core/evaluation.hpp"
 #include "model/dataset.hpp"
 #include "ptf/experiments_engine.hpp"
+#include "store/cached.hpp"
 #include "store/measurement_store.hpp"
 #include "store/serdes.hpp"
 #include "tuners/governor_tuner.hpp"
@@ -460,6 +465,248 @@ TEST(MeasurementStore, TornTailIsRepairedSoOneWarmRerunHasZeroMisses) {
   EXPECT_EQ(stats.rejected, 0);
   EXPECT_EQ(stats.repaired, 0);
   EXPECT_EQ(stats.hits, 2);
+}
+
+// --- Open indexes envelopes; a payload is read on its first hit ----------
+
+/// The line every writer appends for `task`, `fp` and `payload`.
+std::string envelope_line(const std::string& task, std::uint64_t fp,
+                          const std::string& payload) {
+  return "{\"fp\":\"" + Fingerprint::to_hex(fp) + "\",\"payload\":" + payload +
+         ",\"task\":" + Json(task).dump(-1) + "}";
+}
+
+void append_text(const std::string& file, const std::string& text) {
+  std::ofstream os(file, std::ios::app | std::ios::binary);
+  os << text;
+}
+
+// open() streams the file through a 1 MiB buffer; a line longer than that
+// spans two or more reads and must still come back byte for byte.
+TEST(MeasurementStore, PayloadLargerThanTheReadBufferRoundTripsBitExactly) {
+  TempDir dir("large");
+  Json values = Json::array();
+  for (int i = 0; i < 90000; ++i) values.push_back(0.1 * i + 1.0 / 3.0);
+  Json payload = Json::object();
+  payload["values"] = std::move(values);
+  const std::string bytes = payload.dump(-1);
+  ASSERT_GT(bytes.size(), std::size_t{1} << 20);
+  {
+    store::MeasurementStore s;
+    s.open(dir.path(), store::StoreMode::kReadWrite);
+    s.insert({"task/before", 1}, Json(1.5));
+    s.insert({"task/large", 2}, payload);
+    s.insert({"task/after", 3}, Json(2.5));
+  }
+  store::MeasurementStore warm;
+  warm.open(dir.path(), store::StoreMode::kReadOnly);
+  EXPECT_EQ(warm.size(), 3u);
+  const auto large = warm.lookup({"task/large", 2});
+  ASSERT_TRUE(large.has_value());
+  EXPECT_EQ(*large, bytes);
+  EXPECT_EQ(warm.lookup({"task/before", 1}).value_or(""), "1.5");
+  EXPECT_EQ(warm.lookup({"task/after", 3}).value_or(""), "2.5");
+  EXPECT_EQ(warm.stats().rejected, 0);
+}
+
+// A line with a valid envelope but a structurally broken payload loads;
+// its first lookup reads the payload, rejects it loudly and misses, and
+// store::cached computes the value again.
+TEST(MeasurementStore, BrokenPayloadIsRejectedAtItsFirstLookup) {
+  TempDir dir("broken_payload");
+  fs::create_directories(dir.path());
+  append_text(dir.file(), envelope_line("task/good", 7, "3.5") + "\n" +
+                              envelope_line("task/broken", 9, "{\"a\":[1,2}") +
+                              "\n");
+  std::ostringstream log_sink;
+  log::set_sink(&log_sink);
+  store::MeasurementStore s;
+  s.open(dir.path(), store::StoreMode::kReadWrite);
+  EXPECT_EQ(s.stats().rejected, 0);
+  EXPECT_EQ(s.size(), 2u);
+  int computed = 0;
+  const auto run = [&] {
+    return store::cached(
+        &s, "task/broken", [] { return std::uint64_t{9}; },
+        [](std::string_view bytes) { return Json::parse(bytes).as_number(); },
+        [&] {
+          ++computed;
+          return 4.25;
+        },
+        [](double v) { return Json(v); });
+  };
+  EXPECT_EQ(run(), 4.25);
+  log::set_sink(nullptr);
+  EXPECT_EQ(computed, 1);
+  const store::StoreStats stats = s.stats();
+  EXPECT_EQ(stats.rejected, 1);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.writes, 1);
+  EXPECT_NE(log_sink.str().find("rejecting corrupt cache entry " +
+                                dir.file() + ":2"),
+            std::string::npos);
+  // The recomputed value now answers, and the good entry never moved.
+  EXPECT_EQ(run(), 4.25);
+  EXPECT_EQ(computed, 1);
+  EXPECT_EQ(s.lookup({"task/good", 7}).value_or(""), "3.5");
+
+  // Reopened, the appended line wins over the broken one.
+  store::MeasurementStore warm;
+  warm.open(dir.path(), store::StoreMode::kReadOnly);
+  EXPECT_EQ(warm.lookup({"task/broken", 9}).value_or(""), "4.25");
+  EXPECT_EQ(warm.stats().rejected, 0);
+}
+
+// Another process may truncate the file under an open ro store (a rw
+// open's torn-tail repair does). A payload that is no longer there turns
+// its hit into a miss.
+TEST(MeasurementStore, TruncatedFileUnderAReadOnlyStoreTurnsHitsIntoMisses) {
+  TempDir dir("truncated");
+  {
+    store::MeasurementStore rw;
+    rw.open(dir.path(), store::StoreMode::kReadWrite);
+    rw.insert({"task/a", 1}, Json(1.5));
+    rw.insert({"task/b", 2}, Json(2.5));
+  }
+  std::string first_line;
+  {
+    std::ifstream is(dir.file());
+    ASSERT_TRUE(std::getline(is, first_line));
+  }
+  store::MeasurementStore ro;
+  ro.open(dir.path(), store::StoreMode::kReadOnly);
+  ASSERT_EQ(ro.size(), 2u);
+  fs::resize_file(dir.file(), first_line.size() + 1);
+
+  std::ostringstream log_sink;
+  log::set_sink(&log_sink);
+  EXPECT_FALSE(ro.lookup({"task/b", 2}).has_value());
+  log::set_sink(nullptr);
+  EXPECT_EQ(ro.lookup({"task/a", 1}).value_or(""), "1.5");
+  const store::StoreStats stats = ro.stats();
+  EXPECT_EQ(stats.rejected, 1);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(ro.size(), 1u);
+  EXPECT_NE(log_sink.str().find("rejecting corrupt cache entry " +
+                                dir.file() + ":2 (short read)"),
+            std::string::npos);
+}
+
+TEST(MeasurementStore, CrlfLinesStillIndex) {
+  TempDir dir("crlf");
+  fs::create_directories(dir.path());
+  append_text(dir.file(), envelope_line("task/a", 1, "[1,2]") + "\r\n" +
+                              envelope_line("task/b", 2, "{\"x\":\"y\"}") +
+                              "\r\n");
+  store::MeasurementStore ro;
+  ro.open(dir.path(), store::StoreMode::kReadOnly);
+  EXPECT_EQ(ro.size(), 2u);
+  EXPECT_EQ(ro.lookup({"task/a", 1}).value_or(""), "[1,2]");
+  EXPECT_EQ(ro.lookup({"task/b", 2}).value_or(""), "{\"x\":\"y\"}");
+  EXPECT_EQ(ro.stats().rejected, 0);
+}
+
+// A rw open that finds an unterminated last line must not cut a line that
+// a live writer is still appending, nor what it appends afterwards: every
+// committed entry survives any number of rw reopens beside the writer.
+TEST(MeasurementStore, RwOpenBesideALiveWriterLosesNoEntry) {
+  TempDir dir("live_writer");
+  // Lines of 64 KiB keep a writer mid-write often enough that the truncate
+  // to the last newline a rw open once did lost entries in most runs; the
+  // test stays well inside its time bound under the sanitizers.
+  constexpr int kEntries = 200;
+  std::vector<Json> payloads;
+  std::vector<std::string> dumps;
+  for (char c = 'a'; c <= 'z'; ++c) {
+    payloads.emplace_back(std::string(64 * 1024, c));
+    dumps.push_back(payloads.back().dump(-1));
+  }
+  const auto index_of = [&](int i) {
+    return static_cast<std::size_t>(i) % payloads.size();
+  };
+  {
+    store::MeasurementStore create;
+    create.open(dir.path(), store::StoreMode::kReadWrite);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    store::MeasurementStore s;
+    s.open(dir.path(), store::StoreMode::kReadWrite);
+    for (int i = 0; i < kEntries; ++i)
+      s.insert({"task/" + std::to_string(i), 1}, payloads[index_of(i)]);
+    done = true;
+  });
+  std::ostringstream log_sink;
+  log::set_sink(&log_sink);
+  int reopens = 0;
+  while (!done) {
+    store::MeasurementStore reopen;
+    reopen.open(dir.path(), store::StoreMode::kReadWrite);
+    ++reopens;
+  }
+  writer.join();
+  log::set_sink(nullptr);
+  EXPECT_GT(reopens, 0);
+
+  store::MeasurementStore warm;
+  warm.open(dir.path(), store::StoreMode::kReadOnly);
+  EXPECT_EQ(warm.size(), static_cast<std::size_t>(kEntries));
+  for (int i = 0; i < kEntries; ++i) {
+    const auto hit = warm.lookup({"task/" + std::to_string(i), 1});
+    ASSERT_TRUE(hit.has_value()) << "entry " << i << " lost";
+    EXPECT_EQ(*hit, dumps[index_of(i)]);
+  }
+  EXPECT_EQ(warm.stats().rejected, 0);
+  EXPECT_EQ(log_sink.str().find("repairing torn tail"), std::string::npos);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+}
+
+// The same race, made deterministic: a writer holds the append lock
+// shared with half its line on disk while a rw open runs. The open must
+// wait for the line instead of cutting it as a torn tail.
+TEST(MeasurementStore, RwOpenWaitsForAnAppendInFlight) {
+  TempDir dir("append_in_flight");
+  {
+    store::MeasurementStore s;
+    s.open(dir.path(), store::StoreMode::kReadWrite);
+    s.insert({"task/a", 1}, Json(1.5));
+  }
+  const std::string line = envelope_line("task/b", 2, "[2.5,3.5]") + "\n";
+  const std::size_t half = line.size() / 2;
+  const int fd = ::open(dir.file().c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::flock(fd, LOCK_SH), 0);
+  ASSERT_EQ(::write(fd, line.data(), half), static_cast<ssize_t>(half));
+
+  std::ostringstream log_sink;
+  log::set_sink(&log_sink);
+  std::atomic<bool> opened{false};
+  std::thread reopen([&] {
+    store::MeasurementStore rw;
+    rw.open(dir.path(), store::StoreMode::kReadWrite);
+    opened = true;
+    EXPECT_EQ(rw.lookup({"task/b", 2}).value_or(""), "[2.5,3.5]");
+    EXPECT_EQ(rw.stats().repaired, 0);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(opened);  // still waiting for the lock
+  const auto rest = static_cast<ssize_t>(line.size() - half);
+  EXPECT_EQ(::write(fd, line.data() + half, line.size() - half), rest);
+  ::flock(fd, LOCK_UN);
+  ::close(fd);
+  reopen.join();
+  log::set_sink(nullptr);
+  EXPECT_EQ(log_sink.str().find("repairing torn tail"), std::string::npos);
+
+  store::MeasurementStore warm;
+  warm.open(dir.path(), store::StoreMode::kReadOnly);
+  EXPECT_EQ(warm.size(), 2u);
+  EXPECT_EQ(warm.lookup({"task/a", 1}).value_or(""), "1.5");
+  EXPECT_EQ(warm.lookup({"task/b", 2}).value_or(""), "[2.5,3.5]");
+  EXPECT_EQ(warm.stats().rejected, 0);
 }
 
 // --- Cold vs warm equivalence, consumer by consumer -----------------------

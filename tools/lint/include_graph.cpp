@@ -34,13 +34,6 @@ const std::map<std::string, std::set<std::string>>& module_dag() {
   return kDag;
 }
 
-std::vector<std::string> module_names() {
-  std::vector<std::string> names;
-  names.reserve(module_dag().size());
-  for (const auto& [name, deps] : module_dag()) names.push_back(name);
-  return names;  // std::map iterates lexicographically
-}
-
 std::string module_of(const std::string& path) {
   const std::string prefix = "src/";
   if (!path.starts_with(prefix)) return {};

@@ -14,7 +14,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
 
 namespace ecotune::lint {
 
@@ -22,9 +21,6 @@ namespace ecotune::lint {
 /// Every module may also include itself; that edge is implicit.
 [[nodiscard]] const std::map<std::string, std::set<std::string>>&
 module_dag();
-
-/// Module names in deterministic (lexicographic) order.
-[[nodiscard]] std::vector<std::string> module_names();
 
 /// The src/ module owning `path` ("src/hwsim/node.cpp" -> "hwsim"), or ""
 /// when the path is not of the form src/<known-module>/...

@@ -484,7 +484,8 @@ double bench_store_t16(const Options& o) { return bench_store_lookup(o, 16); }
 
 // --- measurement-store open --------------------------------------------
 //
-// Opening the store validates every line of measurements.jsonl, which is what
+// Opening the store indexes the envelope of every line of
+// measurements.jsonl (payloads are read on their first hit), which is what
 // a warm session pays before its first lookup. The synthetic store mimics
 // a warm full-suite store: acquisition-sweep entries (samples with nine
 // features and three normalized labels each) of about 300 KB per line.
@@ -533,8 +534,7 @@ const std::string& store_open_dir(const Options& o) {
   return dir;
 }
 
-/// Milliseconds of MeasurementStore::open per MB of store file, opened
-/// with the job count a default Session opens its store with.
+/// Milliseconds of MeasurementStore::open per MB of store file.
 double bench_store_open(const Options& o) {
   namespace fs = std::filesystem;
   const std::string& dir = store_open_dir(o);
@@ -543,7 +543,7 @@ double bench_store_open(const Options& o) {
       1e6;
   const auto t0 = Clock::now();
   store::MeasurementStore store;
-  store.open(dir, store::StoreMode::kReadOnly, "bench", resolve_jobs(0));
+  store.open(dir, store::StoreMode::kReadOnly, "bench");
   const double ms = seconds_since(t0) * 1e3;
   if (store.size() != (o.quick ? 4u : 14u)) {
     std::cerr << "error: synthetic store reopened with " << store.size()
